@@ -1,6 +1,6 @@
 """Distance-weighted co-occurrence embeddings with attention pooling."""
 
-from .cooc import CoocPair, SparseMatrix, build_cooc, concat_pair, concat_row, hal_weight
+from .cooc import CoocPair, build_cooc, concat_pair, hal_weight
 from .corpus import (
     EncodedDocument,
     RawDocument,
@@ -11,7 +11,7 @@ from .corpus import (
     load_labeled_dir,
     tokenize,
 )
-from .linalg import EmbeddingTable, SvdResult, embed, spmm, spmm_t, truncated_svd
+from .linalg import EmbeddingTable, SvdResult, embed, truncated_svd
 from .model import (
     AdamState,
     AttentionParams,
@@ -20,9 +20,6 @@ from .model import (
     ModelParams,
     PoolResult,
     adam_step,
-    attention_pool,
-    attention_scores,
-    attention_weights,
     classifier_forward,
     init_params,
     loss_and_grad,

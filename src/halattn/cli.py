@@ -22,17 +22,6 @@ from .train import TrainConfig, TrainError, evaluate, fit, inspect_attention, sp
 _CLASS_NAMES = {0: "negative", 1: "positive"}
 
 
-def _limit_threads(n: int | None):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass  # results do not depend on thread count, only speed does
-
-
 def _parse_config_file(path: str) -> dict:
     """Flat `key = value` file mirroring TrainConfig field names."""
     hints = typing.get_type_hints(TrainConfig)
@@ -216,15 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS threads (results are identical at any value)")
-
     p = sub.add_parser("build-vocab", help="build a frequency-capped vocabulary")
     p.add_argument("--data", required=True, help="directory with pos/ and neg/ text files")
     p.add_argument("--cap", type=int, default=10000, help="maximum vocabulary size")
     p.add_argument("--out", required=True, help="output vocabulary file")
-    common(p)
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("build-hal", help="build directional co-occurrence matrices")
@@ -233,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=5, help="co-occurrence window size")
     p.add_argument("--seq-len", type=int, default=200, help="encoded sequence length")
     p.add_argument("--out", required=True, help="output co-occurrence pair file")
-    common(p)
     p.set_defaults(func=_cmd_build_hal)
 
     p = sub.add_parser("svd", help="compress co-occurrence rows into dense embeddings")
@@ -245,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="scale embedding rows to unit L2 norm (default off)")
     p.add_argument("--out", required=True, help="output embedding file")
-    common(p)
     p.set_defaults(func=_cmd_svd)
 
     def config_overrides(p):
@@ -266,21 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data", default=None,
                    help="optional test directory for per-epoch test accuracy")
     config_overrides(p)
-    common(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a labeled directory")
     p.add_argument("--ckpt", required=True, help="checkpoint file")
     p.add_argument("--embeddings", required=True, help="embedding file")
     p.add_argument("--data", required=True, help="directory with pos/ and neg/")
-    common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("attend", help="report per-token attention weights for a text")
     p.add_argument("--ckpt", required=True, help="attention-pooling checkpoint file")
     p.add_argument("--embeddings", required=True, help="embedding file")
     p.add_argument("--text", required=True, help="text to inspect")
-    common(p)
     p.set_defaults(func=_cmd_attend)
 
     p = sub.add_parser("compare", help="train both pooling variants and summarize")
@@ -288,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root with train/ and test/ labeled directories")
     p.add_argument("--embeddings", required=True, help="embedding file")
     config_overrides(p)
-    common(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser
@@ -300,7 +278,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except (DivergenceError, ConvergenceError) as exc:

@@ -1,9 +1,9 @@
 """Directional co-occurrence matrices with inverse-distance window weighting.
 
 Each ordered token pair (context at position j, target at position i, j < i,
-d = i - j <= window) contributes weight 1/d to left[target][context] and the
-same amount to right[context][target], so the right matrix is exactly the
-transpose of the left one.
+d = i - j <= window) contributes weight 1/d to left[target][context]. Only
+left is accumulated and stored; the right matrix, right[context][target],
+is derived as left.T rather than accumulated.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import EncodedDocument
 
@@ -20,77 +21,34 @@ class CoocError(Exception):
 
 
 @dataclass
-class SparseMatrix:
-    """CSR matrix. Explicit zeros are never stored."""
+class CoocPair:
+    """The left co-occurrence matrix and its window; right is derived as left.T."""
 
-    rows: int
-    cols: int
-    row_offsets: np.ndarray  # (rows+1,) int64, non-decreasing
-    col_indices: np.ndarray  # (nnz,) int64, strictly increasing within a row
-    values: np.ndarray  # (nnz,) float64, all > 0
+    left: sp.csr_matrix  # (V, V), canonical CSR, every stored value > 0
+    window: int
 
     @property
-    def nnz(self) -> int:
-        return int(self.col_indices.shape[0])
+    def vocab_size(self) -> int:
+        return int(self.left.shape[0])
+
+    @property
+    def right(self) -> sp.csr_matrix:
+        return self.left.T.tocsr()
 
     def validate(self):
-        off = self.row_offsets
-        if off.shape[0] != self.rows + 1 or off[0] != 0 or off[-1] != self.nnz:
-            raise CoocError("malformed row offsets")
-        if np.any(np.diff(off) < 0):
-            raise CoocError("row offsets must be non-decreasing")
-        if self.values.shape[0] != self.nnz:
-            raise CoocError("values and col_indices lengths differ")
-        for r in range(self.rows):
-            cols = self.col_indices[off[r] : off[r + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.cols):
-                raise CoocError(f"row {r} has unsorted or out-of-range column indices")
-        if np.any(self.values <= 0):
-            raise CoocError("stored values must be strictly positive")
-
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(col_indices, values) of one row."""
-        if not 0 <= r < self.rows:
-            raise CoocError(f"row index {r} out of range for {self.rows} rows")
-        lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols))
-        rows = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        dense[rows, self.col_indices] = self.values
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(dense)
-        offsets = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
-        return cls(
-            rows=dense.shape[0],
-            cols=dense.shape[1],
-            row_offsets=offsets.astype(np.int64),
-            col_indices=cols.astype(np.int64),
-            values=dense[rows, cols],
-        )
-
-
-@dataclass
-class CoocPair:
-    """Left and right directional co-occurrence matrices plus their window."""
-
-    left: SparseMatrix
-    right: SparseMatrix
-    window: int
-    vocab_size: int
-
-    def validate(self):
-        for m in (self.left, self.right):
-            if m.rows != self.vocab_size or m.cols != self.vocab_size:
-                raise CoocError("co-occurrence matrices must be vocab_size x vocab_size")
-            m.validate()
         if self.window < 1:
             raise CoocError("window must be >= 1")
+        m = self.left
+        if m.shape[0] != m.shape[1]:
+            raise CoocError("left must be a square vocab_size x vocab_size matrix")
+        try:
+            m.check_format(full_check=True)
+        except ValueError as exc:
+            raise CoocError(f"malformed CSR: {exc}") from None
+        if not m.has_canonical_format:
+            raise CoocError("column indices must be strictly increasing within each row")
+        if not np.all(m.data > 0):
+            raise CoocError("stored values must be strictly positive")
 
 
 def hal_weight(d: int, window: int) -> float:
@@ -102,44 +60,25 @@ def hal_weight(d: int, window: int) -> float:
     return 0.0
 
 
-def _csr_from_keyed(keys: np.ndarray, values: np.ndarray, vocab_size: int) -> SparseMatrix:
-    """Build CSR from flat keys row*V+col sorted ascending."""
-    rows = (keys // vocab_size).astype(np.int64)
-    cols = (keys % vocab_size).astype(np.int64)
-    offsets = np.searchsorted(rows, np.arange(vocab_size + 1)).astype(np.int64)
-    return SparseMatrix(
-        rows=vocab_size,
-        cols=vocab_size,
-        row_offsets=offsets,
-        col_indices=cols,
-        values=values,
-    )
-
-
 def _merge_distance_counts(
     per_distance: list[tuple[np.ndarray, np.ndarray]], window: int, vocab_size: int
-) -> SparseMatrix:
+) -> sp.csr_matrix:
     """Combine per-distance integer pair counts into one weighted CSR.
 
     Counts are exact integers, so the result is independent of document
     order; the 1/d weighting is applied in ascending-distance order.
     """
     all_keys = np.concatenate([k for k, _ in per_distance])
-    if all_keys.size == 0:
-        return SparseMatrix(
-            rows=vocab_size,
-            cols=vocab_size,
-            row_offsets=np.zeros(vocab_size + 1, dtype=np.int64),
-            col_indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-        )
     weighted = np.concatenate(
         [cnt.astype(np.float64) * hal_weight(d + 1, window) for d, (_, cnt) in enumerate(per_distance)]
     )
     unique_keys, inverse = np.unique(all_keys, return_inverse=True)
     totals = np.zeros(unique_keys.shape[0], dtype=np.float64)
     np.add.at(totals, inverse, weighted)
-    return _csr_from_keyed(unique_keys, totals, vocab_size)
+    # Keys are row*V+col in ascending order, so rows and columns come out sorted.
+    rows = unique_keys // vocab_size
+    offsets = np.searchsorted(rows, np.arange(vocab_size + 1))
+    return sp.csr_matrix((totals, unique_keys % vocab_size, offsets), shape=(vocab_size, vocab_size))
 
 
 def build_cooc(corpus: list[EncodedDocument], vocab_size: int, window: int) -> CoocPair:
@@ -166,61 +105,15 @@ def build_cooc(corpus: list[EncodedDocument], vocab_size: int, window: int) -> C
     positions = np.arange(flat.size, dtype=np.int64)
 
     V = vocab_size
-    left_parts: list[tuple[np.ndarray, np.ndarray]] = []
-    right_parts: list[tuple[np.ndarray, np.ndarray]] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     for d in range(1, window + 1):
         valid = positions - d >= start_of
         targets = flat[valid]
         contexts = flat[positions[valid] - d]
-        left_keys, counts = np.unique(targets * V + contexts, return_counts=True)
-        # Mirror (row, col) -> (col, row); counts are shared by construction.
-        right_keys = (left_keys % V) * V + (left_keys // V)
-        order = np.argsort(right_keys, kind="stable")
-        left_parts.append((left_keys, counts))
-        right_parts.append((right_keys[order], counts[order]))
-
-    pair = CoocPair(
-        left=_merge_distance_counts(left_parts, window, V),
-        right=_merge_distance_counts(right_parts, window, V),
-        window=window,
-        vocab_size=V,
-    )
-    return pair
+        parts.append(np.unique(targets * V + contexts, return_counts=True))
+    return CoocPair(left=_merge_distance_counts(parts, window, V), window=window)
 
 
-def concat_row(pair: CoocPair, word_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse row of the V x 2V concatenation [left | right] for one word.
-
-    Returns (col_indices, values); right-half columns are offset by V.
-    """
-    V = pair.vocab_size
-    if not 0 <= word_id < V:
-        raise CoocError(f"word id {word_id} out of range for vocabulary of {V}")
-    lcols, lvals = pair.left.row(word_id)
-    rcols, rvals = pair.right.row(word_id)
-    cols = np.concatenate((lcols, rcols + V))
-    vals = np.concatenate((lvals, rvals))
-    return cols, vals
-
-
-def concat_pair(pair: CoocPair) -> SparseMatrix:
+def concat_pair(pair: CoocPair) -> sp.csr_matrix:
     """Materialize the V x 2V CSR concatenation [left | right]."""
-    V = pair.vocab_size
-    left, right = pair.left, pair.right
-    lcnt = np.diff(left.row_offsets)
-    rcnt = np.diff(right.row_offsets)
-    offsets = np.concatenate(([0], np.cumsum(lcnt + rcnt))).astype(np.int64)
-    nnz = left.nnz + right.nnz
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for r in range(V):
-        lo = offsets[r]
-        mid = lo + lcnt[r]
-        hi = offsets[r + 1]
-        llo, lhi = left.row_offsets[r], left.row_offsets[r + 1]
-        rlo, rhi = right.row_offsets[r], right.row_offsets[r + 1]
-        cols[lo:mid] = left.col_indices[llo:lhi]
-        vals[lo:mid] = left.values[llo:lhi]
-        cols[mid:hi] = right.col_indices[rlo:rhi] + V
-        vals[mid:hi] = right.values[rlo:rhi]
-    return SparseMatrix(rows=V, cols=2 * V, row_offsets=offsets, col_indices=cols, values=vals)
+    return sp.hstack([pair.left, pair.left.T], format="csr")

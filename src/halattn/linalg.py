@@ -1,4 +1,4 @@
-"""Sparse-dense kernels and randomized truncated SVD for embedding compression.
+"""Randomized truncated SVD for embedding compression.
 
 The decomposition follows the randomized range-finder recipe: a seeded
 Gaussian test matrix, power iterations with re-orthonormalization, then an
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .cooc import SparseMatrix
 
 _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
@@ -62,33 +60,6 @@ class EmbeddingTable:
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Embedding rows for an id array, promoted to float64 for model math."""
         return self.vectors[ids].astype(np.float64)
-
-
-def _as_scipy(matrix: SparseMatrix) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        (matrix.values, matrix.col_indices, matrix.row_offsets),
-        shape=(matrix.rows, matrix.cols),
-    )
-
-
-def spmm(sparse: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != sparse.cols:
-        raise LinalgError(
-            f"shape mismatch: sparse is {sparse.rows}x{sparse.cols}, dense is {dense.shape}"
-        )
-    return np.asarray(_as_scipy(sparse) @ dense)
-
-
-def spmm_t(sparse: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse.T @ dense product."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != sparse.rows:
-        raise LinalgError(
-            f"shape mismatch: sparse.T is {sparse.cols}x{sparse.rows}, dense is {dense.shape}"
-        )
-    return np.asarray(_as_scipy(sparse).T @ dense)
 
 
 def _mgs(basis: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
@@ -165,14 +136,14 @@ def _one_sided_jacobi(
 
 
 def truncated_svd(
-    matrix: SparseMatrix,
+    matrix: sp.csr_matrix,
     k: int,
     oversample: int = 10,
     power_iters: int = 2,
     seed: int = 0,
 ) -> SvdResult:
     """Rank-k randomized SVD of a sparse matrix, deterministic given the seed."""
-    rows, cols = matrix.rows, matrix.cols
+    rows, cols = matrix.shape
     if k < 1:
         raise LinalgError(f"k must be >= 1, got {k}")
     sample = k + oversample
@@ -180,16 +151,15 @@ def truncated_svd(
         raise LinalgError(
             f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}"
         )
-    a = _as_scipy(matrix)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((cols, sample))
-    q = _mgs(np.asarray(a @ omega))
+    q = _mgs(np.asarray(matrix @ omega))
     for _ in range(power_iters):
-        q = _mgs(np.asarray(a.T @ q))
-        q = _mgs(np.asarray(a @ q))
+        q = _mgs(np.asarray(matrix.T @ q))
+        q = _mgs(np.asarray(matrix @ q))
     if q.shape[1] < k:
         raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
-    b = np.asarray(a.T @ q).T  # (sample, cols)
+    b = np.asarray(matrix.T @ q).T  # (sample, cols)
     u_small, s, v_small = _one_sided_jacobi(b.T)
     # b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
     order = np.argsort(-s, kind="stable")[:k]

@@ -149,13 +149,6 @@ class AdamState:
             step=0,
         )
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            m={name: arr.copy() for name, arr in self.m.items()},
-            v={name: arr.copy() for name, arr in self.v.items()},
-            step=self.step,
-        )
-
 
 def init_params(config, seed: int | None = None) -> ModelParams:
     """Glorot-uniform weights, zero biases, unit LayerNorm gain.

@@ -1,9 +1,10 @@
 """Versioned on-disk formats with integrity validation.
 
 Binary artifacts share an envelope of 8-byte magic, u64 version, and a u64
-payload checksum (truncated SHA-256). Text artifacts (vocabulary, metrics)
-carry the checksum on a trailing `#crc64` line instead so their body stays
-line-oriented. Writers go through a temporary file and an atomic rename.
+payload checksum (truncated SHA-256). Each format has its own version. Text
+artifacts (vocabulary, metrics) carry the checksum on a trailing `#crc64`
+line instead so their body stays line-oriented. Writers go through a
+temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -15,18 +16,19 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from .cooc import CoocPair, SparseMatrix
+from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
 from .linalg import EmbeddingTable
-from .model import AdamState, AttentionParams, ClassifierParams, ModelParams
+from .model import AttentionParams, ClassifierParams, ModelParams
 from .train import Checkpoint, EpochRecord, TrainConfig
 
 MAGIC_VOCAB = b"HALVOCAB"
 MAGIC_COOC = b"HALCOO  "
 MAGIC_EMB = b"HALEMB  "
 MAGIC_CKPT = b"HALCKPT "
-VERSION = 1
+VERSIONS = {MAGIC_VOCAB: 1, MAGIC_COOC: 2, MAGIC_EMB: 1, MAGIC_CKPT: 2}
 
 _CRC_PREFIX = b"#crc64 "
 _DTYPE_CODES = {0: np.float64, 1: np.float32}
@@ -111,7 +113,7 @@ class _Reader:
 
 
 def _envelope(magic: bytes, payload: bytes) -> bytes:
-    return magic + struct.pack("<QQ", VERSION, _checksum(payload)) + payload
+    return magic + struct.pack("<QQ", VERSIONS[magic], _checksum(payload)) + payload
 
 
 def _open_envelope(data: bytes, magic: bytes, path) -> _Reader:
@@ -120,7 +122,7 @@ def _open_envelope(data: bytes, magic: bytes, path) -> _Reader:
     if data[:8] != magic:
         raise MagicMismatchError(path, f"expected magic {magic!r}, found {data[:8]!r}")
     version, checksum = struct.unpack("<QQ", data[8:24])
-    if version != VERSION:
+    if version != VERSIONS[magic]:
         raise VersionError(path, f"unsupported version {version}")
     payload = data[24:]
     if _checksum(payload) != checksum:
@@ -138,7 +140,7 @@ def vocab_to_bytes(vocab: Vocabulary) -> bytes:
         if ("\n" in tok) or ("\r" in tok) or tok.startswith("#") or not tok:
             raise ValueError(f"token {tok!r} cannot be stored in the line format")
     body = "".join(tok + "\n" for tok in vocab.tokens).encode("utf-8")
-    header = f"{MAGIC_VOCAB.decode()} {VERSION} {vocab.size}\n".encode("utf-8")
+    header = f"{MAGIC_VOCAB.decode()} {VERSIONS[MAGIC_VOCAB]} {vocab.size}\n".encode("utf-8")
     crc = _CRC_PREFIX + f"{_checksum(body):016x}".encode() + b"\n"
     return header + body + crc
 
@@ -156,7 +158,7 @@ def vocab_from_bytes(data: bytes, path="<bytes>") -> Vocabulary:
         raise FormatError(path, f"malformed header line {lines[0]!r}")
     if head[0] != MAGIC_VOCAB.decode():
         raise MagicMismatchError(path, f"expected magic {MAGIC_VOCAB.decode()}, found {head[0]!r}")
-    if head[1] != str(VERSION):
+    if head[1] != str(VERSIONS[MAGIC_VOCAB]):
         raise VersionError(path, f"unsupported version {head[1]!r}")
     try:
         count = int(head[2])
@@ -200,29 +202,14 @@ def _read(path: str | Path) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_bytes(m: SparseMatrix) -> bytes:
-    parts = [struct.pack("<QQQ", m.rows, m.cols, m.nnz)]
-    parts.append(m.row_offsets.astype("<i8").tobytes())
-    parts.append(m.col_indices.astype("<i8").tobytes())
-    parts.append(m.values.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-def _matrix_from(reader: _Reader) -> SparseMatrix:
-    rows, cols, nnz = reader.u64(), reader.u64(), reader.u64()
-    offsets = reader.array("<i8", rows + 1)
-    col_indices = reader.array("<i8", nnz)
-    values = reader.array("<f8", nnz)
-    return SparseMatrix(
-        rows=rows, cols=cols, row_offsets=offsets, col_indices=col_indices, values=values
-    )
-
-
 def save_cooc(pair: CoocPair, vocab: Vocabulary, path: str | Path):
+    """Write window, vocab size and left; right is left.T and is not stored."""
+    left = pair.left
     payload = (
-        struct.pack("<QQ", pair.window, pair.vocab_size)
-        + _matrix_bytes(pair.left)
-        + _matrix_bytes(pair.right)
+        struct.pack("<QQQ", pair.window, pair.vocab_size, left.indices.size)
+        + left.indptr.astype("<i8").tobytes()
+        + left.indices.astype("<i8").tobytes()
+        + left.data.astype("<f8").tobytes()
         + vocab_to_bytes(vocab)
     )
     _write_atomic(path, _envelope(MAGIC_COOC, payload))
@@ -230,15 +217,18 @@ def save_cooc(pair: CoocPair, vocab: Vocabulary, path: str | Path):
 
 def load_cooc(path: str | Path) -> tuple[CoocPair, Vocabulary]:
     reader = _open_envelope(_read(path), MAGIC_COOC, path)
-    window = reader.u64()
-    vocab_size = reader.u64()
-    left = _matrix_from(reader)
-    right = _matrix_from(reader)
+    window, vocab_size, nnz = reader.u64(), reader.u64(), reader.u64()
+    indptr = reader.array("<i8", vocab_size + 1)
+    indices = reader.array("<i8", nnz)
+    data = reader.array("<f8", nnz)
     vocab = vocab_from_bytes(reader.rest(), path)
-    pair = CoocPair(left=left, right=right, window=window, vocab_size=vocab_size)
+    if indptr[-1] != nnz:
+        raise FormatError(path, f"row offsets end at {indptr[-1]}, expected {nnz} entries")
     try:
+        left = sp.csr_matrix((data, indices, indptr), shape=(vocab_size, vocab_size))
+        pair = CoocPair(left=left, window=window)
         pair.validate()
-    except Exception as exc:
+    except (ValueError, CoocError) as exc:
         raise FormatError(path, f"invalid co-occurrence pair: {exc}") from None
     if vocab.size != vocab_size:
         raise FormatError(path, "embedded vocabulary size disagrees with matrix size")
@@ -339,14 +329,12 @@ def _tensor_from(reader: _Reader, path) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path):
-    tensors: list[tuple[str, np.ndarray]] = list(ckpt.params.tensors().items())
-    tensors += [(f"adam.m.{name}", arr) for name, arr in ckpt.adam.m.items()]
-    tensors += [(f"adam.v.{name}", arr) for name, arr in ckpt.adam.v.items()]
+    tensors = ckpt.params.tensors()
     payload = (
         _config_bytes(ckpt.config)
-        + struct.pack("<QdQ", ckpt.best_epoch, ckpt.best_val_acc, ckpt.adam.step)
+        + struct.pack("<Qd", ckpt.best_epoch, ckpt.best_val_acc)
         + struct.pack("<Q", len(tensors))
-        + b"".join(_tensor_bytes(name, arr) for name, arr in tensors)
+        + b"".join(_tensor_bytes(name, arr) for name, arr in tensors.items())
     )
     _write_atomic(path, _envelope(MAGIC_CKPT, payload))
 
@@ -356,7 +344,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     config = _config_from(reader, path)
     best_epoch = reader.u64()
     best_val_acc = reader.f64()
-    adam_step_count = reader.u64()
     n_tensors = reader.u64()
     tensors = dict(_tensor_from(reader, path) for _ in range(n_tensors))
     reader.expect_end()
@@ -378,18 +365,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             dropout_p=config.dropout_p,
         ),
     )
-    names = list(params.tensors())
-    adam = AdamState(
-        m={name: grab(f"adam.m.{name}") for name in names},
-        v={name: grab(f"adam.v.{name}") for name in names},
-        step=adam_step_count,
-    )
     if tensors:
         raise FormatError(path, f"unexpected tensors {sorted(tensors)}")
-    return Checkpoint(
-        config=config, params=params, adam=adam,
-        best_epoch=best_epoch, best_val_acc=best_val_acc,
-    )
+    return Checkpoint(config=config, params=params, best_epoch=best_epoch,
+                      best_val_acc=best_val_acc)
 
 
 # ---------------------------------------------------------------------------

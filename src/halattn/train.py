@@ -84,11 +84,10 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    """Best-epoch parameters plus optimizer state for bit-exact resume."""
+    """Best-epoch parameters with the config that produced them."""
 
     config: TrainConfig
     params: ModelParams
-    adam: AdamState
     best_epoch: int
     best_val_acc: float
 
@@ -208,7 +207,6 @@ def fit(
             best = Checkpoint(
                 config=config,
                 params=params.copy(),
-                adam=adam.copy(),
                 best_epoch=epoch,
                 best_val_acc=val_acc,
             )

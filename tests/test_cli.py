@@ -123,12 +123,12 @@ class TestPipelineArtifacts:
         assert cooc_vocab.tokens == vocab.tokens
         assert pair.window == 4
 
-    def test_svd_normalize_flag_and_threads(self, workspace, tmp_path):
+    def test_svd_normalize_flag(self, workspace, tmp_path):
         out = tmp_path / "unit.bin"
         code = main([
             "svd", "--cooc", str(workspace / "pair.cooc"), "--dim", "8",
             "--oversample", "6", "--power-iters", "1", "--seed", "2",
-            "--normalize", "--threads", "1", "--out", str(out),
+            "--normalize", "--out", str(out),
         ])
         assert code == 0
         table, _ = store.load_embeddings(out)

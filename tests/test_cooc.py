@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halattn.cooc import (
-    CoocError,
-    CoocPair,
-    SparseMatrix,
-    build_cooc,
-    concat_pair,
-    concat_row,
-    hal_weight,
-)
+from halattn.cooc import CoocError, build_cooc, concat_pair, hal_weight
 from halattn.corpus import EncodedDocument
 
 
@@ -60,8 +52,8 @@ class TestHalWeight:
 class TestBuildCooc:
     def test_abc_hand_enumeration(self):
         pair = build_cooc([make_doc([0, 1, 2])], vocab_size=3, window=2)
-        left = pair.left.to_dense()
-        right = pair.right.to_dense()
+        left = pair.left.toarray()
+        right = pair.right.toarray()
         expected_left = np.zeros((3, 3))
         expected_left[1, 0] = 1.0
         expected_left[2, 1] = 1.0
@@ -71,8 +63,8 @@ class TestBuildCooc:
 
     def test_repeated_token_self_cooccurrence(self):
         pair = build_cooc([make_doc([0, 0])], vocab_size=1, window=1)
-        assert pair.left.to_dense()[0, 0] == 1.0
-        assert pair.right.to_dense()[0, 0] == 1.0
+        assert pair.left.toarray()[0, 0] == 1.0
+        assert pair.right.toarray()[0, 0] == 1.0
 
     def test_one_token_docs_give_empty_matrices(self):
         pair = build_cooc([make_doc([0]), make_doc([1])], vocab_size=2, window=3)
@@ -82,15 +74,15 @@ class TestBuildCooc:
     def test_windows_do_not_cross_documents(self):
         joined = build_cooc([make_doc([0, 1, 0, 1])], 2, 3)
         split_docs = build_cooc([make_doc([0, 1]), make_doc([0, 1])], 2, 3)
-        assert joined.left.to_dense().sum() > split_docs.left.to_dense().sum()
+        assert joined.left.toarray().sum() > split_docs.left.toarray().sum()
         expected = np.zeros((2, 2))
         expected[1, 0] = 2.0  # one adjacent pair per document
-        assert np.array_equal(split_docs.left.to_dense(), expected)
+        assert np.array_equal(split_docs.left.toarray(), expected)
 
     def test_padding_contributes_nothing(self):
         padded = build_cooc([make_doc([1, 1], seq_len=6)], 2, 5)
         tight = build_cooc([make_doc([1, 1])], 2, 5)
-        assert np.array_equal(padded.left.to_dense(), tight.left.to_dense())
+        assert np.array_equal(padded.left.toarray(), tight.left.toarray())
 
     def test_out_of_range_id_names_document(self):
         with pytest.raises(CoocError, match="document 1"):
@@ -113,8 +105,8 @@ class TestBuildCooc:
         docs = [make_doc(ids) for ids in docs_ids]
         pair = build_cooc(docs, vocab_size=6, window=window)
         left, right = brute_force_pair(docs, 6, window)
-        np.testing.assert_allclose(pair.left.to_dense(), left, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.right.to_dense(), right, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.left.toarray(), left, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.right.toarray(), right, rtol=0, atol=1e-12)
 
     @given(
         st.lists(
@@ -127,7 +119,7 @@ class TestBuildCooc:
     @settings(max_examples=60, deadline=None)
     def test_transpose_duality_bitwise(self, docs_ids, window):
         pair = build_cooc([make_doc(ids) for ids in docs_ids], 8, window)
-        assert np.array_equal(pair.right.to_dense(), pair.left.to_dense().T)
+        assert np.array_equal(pair.right.toarray(), pair.left.toarray().T)
 
     def test_order_invariance_bitwise(self):
         rng = np.random.default_rng(3)
@@ -135,9 +127,9 @@ class TestBuildCooc:
         forward = build_cooc(docs, 9, 4)
         backward = build_cooc(docs[::-1], 9, 4)
         for a, b in ((forward.left, backward.left), (forward.right, backward.right)):
-            assert np.array_equal(a.row_offsets, b.row_offsets)
-            assert np.array_equal(a.col_indices, b.col_indices)
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
 
     def test_mass_conservation_closed_form(self):
         rng = np.random.default_rng(5)
@@ -148,8 +140,8 @@ class TestBuildCooc:
         expected = sum(
             max(0, n - d) * (1.0 / d) for n in lengths for d in range(1, window + 1)
         )
-        assert pair.left.values.sum() == pytest.approx(expected, rel=1e-12)
-        assert pair.right.values.sum() == pytest.approx(expected, rel=1e-12)
+        assert pair.left.data.sum() == pytest.approx(expected, rel=1e-12)
+        assert pair.right.data.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
@@ -159,45 +151,10 @@ class TestBuildCooc:
 
 
 class TestConcatRow:
-    def _pair(self):
-        return build_cooc([make_doc([0, 1, 2])], vocab_size=3, window=2)
-
-    def test_right_half_offset(self):
-        left = SparseMatrix.from_dense(np.zeros((10, 10)))
-        right_dense = np.zeros((10, 10))
-        right_dense[0, 3] = 0.5
-        pair = CoocPair(
-            left=left,
-            right=SparseMatrix.from_dense(right_dense),
-            window=2,
-            vocab_size=10,
-        )
-        cols, vals = concat_row(pair, 0)
-        assert cols.tolist() == [13]
-        assert vals.tolist() == [0.5]
-
-    def test_abc_word_two(self):
-        cols, vals = concat_row(self._pair(), 2)
-        assert cols.tolist() == [0, 1]
-        assert vals.tolist() == [0.5, 1.0]
-
-    def test_all_zero_word(self):
-        pair = build_cooc([make_doc([0]), make_doc([1])], vocab_size=3, window=2)
-        cols, vals = concat_row(pair, 2)
-        assert cols.size == 0 and vals.size == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(CoocError):
-            concat_row(self._pair(), 3)
-
     def test_concat_pair_matches_rows(self):
-        pair = self._pair()
+        pair = build_cooc([make_doc([0, 1, 2])], vocab_size=3, window=2)
         matrix = concat_pair(pair)
-        matrix.validate()
-        assert matrix.rows == 3 and matrix.cols == 6
-        dense = matrix.to_dense()
-        for word in range(3):
-            cols, vals = concat_row(pair, word)
-            row = np.zeros(6)
-            row[cols] = vals
-            assert np.array_equal(dense[word], row)
+        assert matrix.format == "csr" and matrix.has_canonical_format
+        assert matrix.shape == (3, 6)
+        left = pair.left.toarray()
+        assert np.array_equal(matrix.toarray(), np.hstack([left, left.T]))

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from halattn.cooc import SparseMatrix
 from halattn.linalg import (
     EmbeddingTable,
     LinalgError,
     SvdResult,
     _one_sided_jacobi,
     embed,
-    spmm,
-    spmm_t,
     truncated_svd,
 )
 
@@ -17,7 +15,7 @@ from halattn.linalg import (
 def random_sparse(rng, rows, cols, density=0.3):
     dense = rng.standard_normal((rows, cols))
     dense[rng.random((rows, cols)) > density] = 0.0
-    return SparseMatrix.from_dense(dense), dense
+    return sp.csr_matrix(dense), dense
 
 
 def decaying_matrix(rng, m, n, ratio=0.7, floor=1e-3):
@@ -27,35 +25,6 @@ def decaying_matrix(rng, m, n, ratio=0.7, floor=1e-3):
     v, _ = np.linalg.qr(rng.standard_normal((n, r)))
     s = 10.0 * ratio ** np.arange(r) + floor
     return (u * s) @ v.T
-
-
-class TestSpmm:
-    def test_identity(self, rng):
-        eye = SparseMatrix.from_dense(np.eye(4))
-        dense = rng.standard_normal((4, 3))
-        assert np.array_equal(spmm(eye, dense), dense)
-
-    def test_single_entry(self):
-        sparse = SparseMatrix.from_dense(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
-        out = spmm(sparse, np.ones((3, 1)))
-        assert out.tolist() == [[2.0], [0.0]]
-
-    def test_matches_dense_oracle(self, rng):
-        sparse, dense = random_sparse(rng, 20, 30)
-        other = rng.standard_normal((30, 7))
-        np.testing.assert_allclose(spmm(sparse, other), dense @ other, atol=1e-12)
-
-    def test_transposed_matches_dense_oracle(self, rng):
-        sparse, dense = random_sparse(rng, 20, 30)
-        other = rng.standard_normal((20, 5))
-        np.testing.assert_allclose(spmm_t(sparse, other), dense.T @ other, atol=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        sparse, _ = random_sparse(rng, 4, 5)
-        with pytest.raises(LinalgError):
-            spmm(sparse, np.ones((4, 2)))
-        with pytest.raises(LinalgError):
-            spmm_t(sparse, np.ones((5, 2)))
 
 
 class TestOneSidedJacobi:
@@ -79,14 +48,14 @@ class TestOneSidedJacobi:
 
 class TestTruncatedSvd:
     def test_diagonal(self):
-        sparse = SparseMatrix.from_dense(np.diag([5.0, 3.0, 1.0]))
+        sparse = sp.csr_matrix(np.diag([5.0, 3.0, 1.0]))
         result = truncated_svd(sparse, k=2, oversample=1, power_iters=2, seed=0)
         np.testing.assert_allclose(result.singular_values, [5.0, 3.0], rtol=1e-12)
 
     def test_rank_one(self, rng):
         a = rng.standard_normal(12)
         b = rng.standard_normal(9)
-        sparse = SparseMatrix.from_dense(np.outer(a, b))
+        sparse = sp.csr_matrix(np.outer(a, b))
         result = truncated_svd(sparse, k=1, oversample=5, power_iters=1, seed=1)
         sigma = np.linalg.norm(a) * np.linalg.norm(b)
         np.testing.assert_allclose(result.singular_values[0], sigma, rtol=1e-10)
@@ -95,7 +64,7 @@ class TestTruncatedSvd:
 
     def test_random_matrix_against_dense_oracle(self, rng):
         dense = decaying_matrix(rng, 50, 80)
-        sparse = SparseMatrix.from_dense(dense)
+        sparse = sp.csr_matrix(dense)
         result = truncated_svd(sparse, k=10, oversample=10, power_iters=2, seed=2)
         oracle = np.linalg.svd(dense, compute_uv=False)
         np.testing.assert_allclose(result.singular_values, oracle[:10], rtol=1e-6)
@@ -105,14 +74,14 @@ class TestTruncatedSvd:
 
     def test_orthonormality_and_monotone_spectrum(self, rng):
         dense = decaying_matrix(rng, 40, 60, ratio=0.85)
-        result = truncated_svd(SparseMatrix.from_dense(dense), k=8, seed=3)
+        result = truncated_svd(sp.csr_matrix(dense), k=8, seed=3)
         result.validate()  # orthonormality within 1e-8, non-increasing spectrum
         s = result.singular_values
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_seed_determinism_bitwise(self, rng):
         dense = decaying_matrix(rng, 30, 45)
-        sparse = SparseMatrix.from_dense(dense)
+        sparse = sp.csr_matrix(dense)
         first = truncated_svd(sparse, k=5, seed=42)
         second = truncated_svd(sparse, k=5, seed=42)
         assert np.array_equal(first.u, second.u)
@@ -121,7 +90,7 @@ class TestTruncatedSvd:
 
     def test_different_seeds_differ(self, rng):
         dense = decaying_matrix(rng, 30, 45)
-        sparse = SparseMatrix.from_dense(dense)
+        sparse = sp.csr_matrix(dense)
         first = truncated_svd(sparse, k=5, seed=1)
         second = truncated_svd(sparse, k=5, seed=2)
         assert not np.array_equal(first.u, second.u)
@@ -148,7 +117,7 @@ class TestEmbed:
 
     def test_row_norms_are_sigma_weighted(self, rng):
         dense = decaying_matrix(rng, 25, 40)
-        result = truncated_svd(SparseMatrix.from_dense(dense), k=6, seed=0)
+        result = truncated_svd(sp.csr_matrix(dense), k=6, seed=0)
         table = embed(result)
         expected = np.linalg.norm(result.u * result.singular_values, axis=1)
         np.testing.assert_allclose(
@@ -157,14 +126,14 @@ class TestEmbed:
 
     def test_shape_and_dtype(self, rng):
         dense = decaying_matrix(rng, 30, 50)
-        table = embed(truncated_svd(SparseMatrix.from_dense(dense), k=7, seed=0))
+        table = embed(truncated_svd(sp.csr_matrix(dense), k=7, seed=0))
         assert table.vectors.shape == (30, 7)
         assert table.size == 30 and table.dim == 7
         assert table.vectors.dtype == np.float32
 
     def test_normalize_toggle(self, rng):
         dense = decaying_matrix(rng, 20, 30)
-        result = truncated_svd(SparseMatrix.from_dense(dense), k=4, seed=0)
+        result = truncated_svd(sp.csr_matrix(dense), k=4, seed=0)
         table = embed(result, normalize=True)
         np.testing.assert_allclose(
             np.linalg.norm(table.vectors, axis=1), 1.0, rtol=1e-5

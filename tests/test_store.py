@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from synthetic import make_cluster_dataset
 from halattn import store
-from halattn.cooc import build_cooc
+from halattn.cooc import CoocPair, build_cooc
 from halattn.corpus import EncodedDocument, Vocabulary
 from halattn.linalg import EmbeddingTable
 from halattn.train import EpochRecord, TrainConfig, fit, split
@@ -82,10 +85,9 @@ class TestCoocRoundTrip:
         store.save_cooc(pair, vocab, path)
         loaded, loaded_vocab = store.load_cooc(path)
         assert loaded.window == pair.window and loaded.vocab_size == pair.vocab_size
-        for a, b in ((loaded.left, pair.left), (loaded.right, pair.right)):
-            assert np.array_equal(a.row_offsets, b.row_offsets)
-            assert np.array_equal(a.col_indices, b.col_indices)
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(loaded.left.indptr, pair.left.indptr)
+        assert np.array_equal(loaded.left.indices, pair.left.indices)
+        assert np.array_equal(loaded.left.data, pair.left.data)
         assert loaded_vocab.tokens == vocab.tokens
 
 
@@ -122,10 +124,6 @@ class TestCheckpointRoundTrip:
         assert loaded.best_val_acc == checkpoint.best_val_acc
         for name, arr in checkpoint.params.tensors().items():
             assert np.array_equal(loaded.params.tensors()[name], arr)
-        assert loaded.adam.step == checkpoint.adam.step
-        for name in checkpoint.adam.m:
-            assert np.array_equal(loaded.adam.m[name], checkpoint.adam.m[name])
-            assert np.array_equal(loaded.adam.v[name], checkpoint.adam.v[name])
 
     def test_dropout_and_temperature_restored(self, checkpoint, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -232,6 +230,44 @@ class TestCorruptionDetection:
         path.write_bytes(bytes(data))
         with pytest.raises(store.StoreError, match="vocab.txt"):
             store.load_vocab(path)
+
+    def test_version_one_files_rejected(self, tmp_path, vocab, pair, checkpoint):
+        # HALCOO v1 stored right beside left; HALCKPT v1 stored Adam moments.
+        cooc_path = tmp_path / "pair.cooc"
+        ckpt_path = tmp_path / "model.ckpt"
+        store.save_cooc(pair, vocab, cooc_path)
+        store.save_checkpoint(checkpoint, ckpt_path)
+        for path, loader in ((cooc_path, store.load_cooc), (ckpt_path, store.load_checkpoint)):
+            data = bytearray(path.read_bytes())
+            data[8:16] = struct.pack("<Q", 1)
+            path.write_bytes(bytes(data))
+            with pytest.raises(store.VersionError, match="version 1"):
+                loader(path)
+
+
+class TestCoocStructuralValidation:
+    """Payloads with a valid checksum whose left matrix breaks CSR invariants."""
+
+    # left rows: [_, 1, .5], [2, _, _], [.25, 1.5, 3]; indptr [0, 2, 3, 6]
+    DENSE = np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.0], [0.25, 1.5, 3.0]])
+
+    @pytest.mark.parametrize(
+        "array, pos, value",
+        [("indptr", 2, 1), ("indices", 0, 3), ("indices", 1, 0), ("indices", 0, 2),
+         ("data", 2, 0.0), ("indptr", 3, 5)],
+        ids=["decreasing-indptr", "column-out-of-range", "unsorted-columns",
+             "duplicate-column", "zero-value", "indptr-ends-early"],
+    )
+    def test_rejected_with_format_error(self, array, pos, value, tmp_path):
+        path = tmp_path / "pair.cooc"
+        vocab = Vocabulary.from_tokens(["a", "b", "c"])
+        left = sp.csr_matrix(self.DENSE)
+        store.save_cooc(CoocPair(left=left, window=2), vocab, path)
+        store.load_cooc(path)  # the pristine matrix loads
+        getattr(left, array)[pos] = value  # edits the raw arrays behind scipy's checks
+        store.save_cooc(CoocPair(left=left, window=2), vocab, path)
+        with pytest.raises(store.FormatError):
+            store.load_cooc(path)
 
 
 class TestCrossLoading:

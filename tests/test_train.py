@@ -5,7 +5,6 @@ from synthetic import make_cluster_dataset
 from halattn.corpus import EncodedDocument, Vocabulary
 from halattn.linalg import EmbeddingTable
 from halattn.model import (
-    AdamState,
     AttentionParams,
     ClassifierParams,
     DivergenceError,
@@ -122,7 +121,6 @@ class TestFit:
             )
         for name, arr in first_ckpt.params.tensors().items():
             assert np.array_equal(arr, second_ckpt.params.tensors()[name])
-        assert first_ckpt.adam.step == second_ckpt.adam.step
 
     def test_early_stopping_soundness(self):
         docs, table = make_cluster_dataset(seed=2)
@@ -196,8 +194,7 @@ def constant_checkpoint(b_o=(0.0, 0.0), seq_len=4, embed_dim=3, pooling="mean"):
         ),
     )
     return Checkpoint(
-        config=cfg, params=params, adam=AdamState.for_params(params),
-        best_epoch=1, best_val_acc=0.5,
+        config=cfg, params=params, best_epoch=1, best_val_acc=0.5,
     )
 
 
