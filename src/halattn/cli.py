@@ -8,6 +8,7 @@ given it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import typing
 from pathlib import Path
@@ -198,6 +199,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was; building one per main() costs ~1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halattn",

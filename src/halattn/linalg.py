@@ -1,8 +1,10 @@
 """Randomized truncated SVD for embedding compression.
 
-The decomposition follows the randomized range-finder recipe: a seeded
-Gaussian test matrix, power iterations with re-orthonormalization, then an
-exact SVD of the small projected matrix by one-sided Jacobi rotations.
+The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
+Gaussian test matrix and power iterations, each product re-orthonormalized
+by panelled CGS2, then an exact SVD of the small projected matrix by
+QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
+round-robin order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import scipy.sparse as sp
 _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
+_PANEL = 8  # columns _cgs2 projects per matrix product
 
 
 class LinalgError(Exception):
@@ -62,27 +65,41 @@ class EmbeddingTable:
         return self.vectors[ids].astype(np.float64)
 
 
-def _mgs(basis: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormalize columns by modified Gram-Schmidt with one re-orthogonalization.
+def _cgs2(basis: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
+    """Orthonormalize columns by classical Gram-Schmidt applied twice (CGS2).
 
-    Columns that collapse below drop_tol of their original norm are dropped,
-    so the result can have fewer columns than the input.
+    Each panel of _PANEL columns goes through two rounds. A round projects it
+    against the earlier panels' basis by one matrix product, then each column
+    twice against the panel's kept columns, and normalizes. A column whose norm
+    after both rounds is at most drop_tol of its original norm is dropped.
     """
     m, n = basis.shape
-    q = np.empty((m, n), dtype=np.float64)
-    kept = 0
-    for j in range(n):
-        v = basis[:, j].astype(np.float64, copy=True)
-        scale = float(np.linalg.norm(v))
+    qt, kept = np.empty((n, m), dtype=np.float64), 0  # kept basis vectors as rows
+    for start in range(0, n, _PANEL):
+        panel = np.array(basis[:, start : start + _PANEL].T, dtype=np.float64)
+        first, floors = kept, drop_tol * np.linalg.norm(panel, axis=1)  # in each column's scale
         for _ in range(2):
-            for i in range(kept):
-                v -= (q[:, i] @ v) * q[:, i]
-        norm = float(np.linalg.norm(v))
-        if scale == 0.0 or norm <= drop_tol * scale:
-            continue
-        q[:, kept] = v / norm
-        kept += 1
-    return q[:, :kept].copy()
+            panel -= (panel @ qt[:first].T) @ qt[:first]
+            kept, survivors = first, []
+            for v, floor in zip(panel, floors):
+                for _ in range(2):
+                    v -= (qt[first:kept] @ v) @ qt[first:kept]
+                norm = float(np.linalg.norm(v))
+                if not norm <= floor:  # keeps a NaN, drops a zero column (floor 0)
+                    qt[kept] = v / norm
+                    kept += 1
+                    survivors.append(floor / norm)
+            panel, floors = qt[first:kept].copy(), survivors
+    return qt[:kept].T
+
+
+def _round_robin(n: int) -> list[np.ndarray]:
+    """Brent-Luk ordering for even n: n - 1 rounds of n / 2 disjoint pairs (p, q), p < q."""
+    players, rounds = np.arange(n), []
+    for _ in range(n - 1):
+        rounds.append(np.sort(np.stack([players[: n // 2], players[::-1][: n // 2]], axis=1)))
+        players = np.concatenate([players[:1], np.roll(players[1:], 1)])
+    return rounds
 
 
 def _one_sided_jacobi(
@@ -90,49 +107,51 @@ def _one_sided_jacobi(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD of a tall matrix: g = u @ diag(s) @ v.T.
 
-    Plane rotations orthogonalize column pairs until every pair is
-    numerically orthogonal relative to the column norms.
+    QR-preconditioned: with g = q @ r by _cgs2, plane rotations act on the
+    square r until every column pair is numerically orthogonal relative to
+    the column norms. Each round-robin round rotates its disjoint pairs at once.
     """
-    g = np.array(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     m, n = g.shape
     if m < n:
         raise LinalgError("one-sided Jacobi expects a tall matrix")
-    v = np.eye(n)
+    q = _cgs2(g)
+    size = n + n % 2  # an odd n gets one zero column
+    # row j: column j of r (zero where columns were dropped), then column j of v
+    cols = np.hstack([np.zeros((size, size)), np.eye(size)])
+    cols[:n, : q.shape[1]] = g.T @ q
+    rot = np.zeros((size // 2, 2, 2))
+    rotated_rows = np.empty((size // 2, 2, 2 * size))  # reused: a fresh one per round page-faults
+    rounds, worst = _round_robin(size), float("nan")
     for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q_i in range(p + 1, n):
-                gp = g[:, p]
-                gq = g[:, q_i]
-                app = gp @ gp
-                aqq = gq @ gq
-                apq = gp @ gq
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= tol * denom:
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                # sign(0) must be +1 here or equal-norm columns never rotate
-                t = np.copysign(1.0, zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = c * t
-                g_p = c * gp - s_ * gq
-                g_q = s_ * gp + c * gq
-                g[:, p] = g_p
-                g[:, q_i] = g_q
-                v_p = c * v[:, p] - s_ * v[:, q_i]
-                v_q = s_ * v[:, p] + c * v[:, q_i]
-                v[:, p] = v_p
-                v[:, q_i] = v_q
+        rotated, worst = False, 0.0  # worst |apq|/sqrt(app*aqq) among the rotated pairs
+        for pairs in rounds:
+            x = cols[pairs]
+            gram = x[:, :, :size] @ x[:, :, :size].transpose(0, 2, 1)  # per pair, 2 x 2
+            app, aqq, apq = gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1]
+            denom = np.sqrt(app * aqq)
+            act = ~((denom == 0.0) | (np.abs(apq) <= tol * denom))  # pairs not skipped
+            if not act.any():
+                continue
+            rotated = True
+            worst = float(np.maximum(worst, np.max(np.abs(apq[act]) / denom[act])))
+            zeta = (aqq[act] - app[act]) / (2.0 * apq[act])
+            # sign(0) must be +1 here or equal-norm columns never rotate
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            # (p, q) <- (c p - s q, s p + c q); a skipped pair gets the identity
+            rot[:] = np.eye(2)
+            rot[act] = np.array([[c, -c * t], [c * t, c]]).transpose(2, 0, 1)
+            cols[pairs] = np.matmul(rot, x, out=rotated_rows)
         if not rotated:
             break
     else:
-        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
-    s = np.linalg.norm(g, axis=0)
-    u = np.zeros_like(g)
-    nonzero = s > 0
-    u[:, nonzero] = g[:, nonzero] / s[nonzero]
-    return u, s, v
+        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps: worst "
+                               f"|apq|/sqrt(app*aqq) in the last sweep {worst:.2e} > {tol:.0e}")
+    s = np.linalg.norm(cols[:n, :size], axis=1)
+    u_r = np.zeros((n, q.shape[1]))  # a zero singular value gets a zero u column
+    np.divide(cols[:n, : q.shape[1]], s[:, None], out=u_r, where=s[:, None] > 0)
+    return q @ u_r.T, s, cols[:n, size : size + n].T
 
 
 def truncated_svd(
@@ -153,10 +172,10 @@ def truncated_svd(
         )
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((cols, sample))
-    q = _mgs(np.asarray(matrix @ omega))
+    q = _cgs2(np.asarray(matrix @ omega))
     for _ in range(power_iters):
-        q = _mgs(np.asarray(matrix.T @ q))
-        q = _mgs(np.asarray(matrix @ q))
+        q = _cgs2(np.asarray(matrix.T @ q))
+        q = _cgs2(np.asarray(matrix @ q))
     if q.shape[1] < k:
         raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
     b = np.asarray(matrix.T @ q).T  # (sample, cols)

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from halattn.linalg import (
+    ConvergenceError,
     EmbeddingTable,
     LinalgError,
     SvdResult,
+    _cgs2,
     _one_sided_jacobi,
     embed,
     truncated_svd,
@@ -27,6 +31,45 @@ def decaying_matrix(rng, m, n, ratio=0.7, floor=1e-3):
     return (u * s) @ v.T
 
 
+def lapack_singular_values(g):
+    return np.linalg.svd(g, compute_uv=False)
+
+
+class TestCgs2:
+    def test_drops_duplicate_and_zero_columns(self, rng):
+        x = rng.standard_normal((60, 20))
+        # a zero column, a duplicate within its panel, a scaled duplicate in a later panel
+        extra = np.column_stack([np.zeros(60), x[:, 1], 2.0 * x[:, 4]])
+        basis = np.insert(x, [3, 5, 17], extra, axis=1)
+        q = _cgs2(basis)
+        assert q.shape == (60, 20)
+        np.testing.assert_allclose(q.T @ q, np.eye(20), rtol=0, atol=1e-12)
+        # same span: projecting the input onto the basis gives the input back
+        np.testing.assert_allclose(q @ (q.T @ basis), basis, rtol=0, atol=1e-12)
+
+    def test_ill_conditioned_stays_orthonormal(self, rng):
+        # condition number 1e10: one Gram-Schmidt pass would lose orthogonality
+        u, _ = np.linalg.qr(rng.standard_normal((200, 45)))
+        v, _ = np.linalg.qr(rng.standard_normal((45, 45)))
+        basis = (u * np.logspace(0, -10, 45)) @ v.T
+        q = _cgs2(basis)
+        assert q.shape == (200, 45)
+        np.testing.assert_allclose(q.T @ q, np.eye(45), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ (q.T @ basis), basis, rtol=0, atol=1e-12)
+
+    def test_near_dependence_inside_a_later_panel(self, rng):
+        # in the second panel, columns 10-13 each add 1e-10 noise to the one
+        # before: the residuals sit above drop_tol, and after normalization
+        # each must be orthogonal to the first panel and to the others
+        x = rng.standard_normal((300, 16))
+        for j in range(10, 14):
+            x[:, j] = x[:, j - 1] + 1e-10 * rng.standard_normal(300)
+        q = _cgs2(x)
+        assert q.shape == (300, 16)
+        np.testing.assert_allclose(q.T @ q, np.eye(16), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ (q.T @ x), x, rtol=0, atol=1e-12)
+
+
 class TestOneSidedJacobi:
     def test_against_lapack(self, rng):
         g = rng.standard_normal((12, 6))
@@ -44,6 +87,53 @@ class TestOneSidedJacobi:
         np.testing.assert_allclose(
             np.sort(s)[::-1], np.linalg.svd(g, compute_uv=False), rtol=1e-12
         )
+
+    def test_exactly_equal_norms_rotate(self):
+        # r is exact here and both columns have norm 5, so zeta is exactly 0
+        g = np.array([[5.0, 3.0], [0.0, 4.0], [0.0, 0.0]])
+        u, s, v = _one_sided_jacobi(g)
+        np.testing.assert_allclose(np.sort(s)[::-1], lapack_singular_values(g), rtol=1e-12)
+
+    def test_odd_column_count(self, rng):
+        g = rng.standard_normal((20, 7))
+        u, s, v = _one_sided_jacobi(g)
+        assert u.shape == (20, 7) and s.shape == (7,) and v.shape == (7, 7)
+        np.testing.assert_allclose(np.sort(s)[::-1], lapack_singular_values(g), rtol=1e-12)
+        np.testing.assert_allclose((u * s) @ v.T, g, atol=1e-10)
+        np.testing.assert_allclose(v.T @ v, np.eye(7), atol=1e-12)
+
+    def test_zero_column(self, rng):
+        g = rng.standard_normal((15, 6))
+        g[:, 2] = 0.0
+        u, s, v = _one_sided_jacobi(g)
+        oracle = lapack_singular_values(g)
+        assert s[2] == 0.0 and oracle[-1] < 1e-12 * oracle[0]
+        assert np.all(u[:, 2] == 0.0)
+        np.testing.assert_allclose(np.sort(s)[::-1][:5], oracle[:5], rtol=1e-12)
+        np.testing.assert_allclose((u * s) @ v.T, g, atol=1e-10)
+        np.testing.assert_allclose(v.T @ v, np.eye(6), atol=1e-12)
+
+    def test_sweep_budget_exhausted(self, rng):
+        g = rng.standard_normal((30, 10)) + 3.0  # strongly correlated columns
+        with pytest.raises(ConvergenceError, match="within 1 sweeps") as info:
+            _one_sided_jacobi(g, max_sweeps=1)
+        # the message names the worst remaining |apq|/sqrt(app*aqq)
+        worst = float(re.search(r"last sweep (\S+) >", str(info.value)).group(1))
+        assert 1e-12 < worst <= 1.0
+        with pytest.raises(ConvergenceError, match="within 0 sweeps"):
+            _one_sided_jacobi(g, max_sweeps=0)
+
+    def test_non_finite_input_never_converges(self, rng):
+        g = rng.standard_normal((8, 4))
+        g[0, 0] = np.nan
+        with pytest.raises(ConvergenceError, match="last sweep nan"):
+            _one_sided_jacobi(g)
+
+    def test_tall_production_shape(self, rng):
+        g = rng.standard_normal((4000, 110))
+        u, s, v = _one_sided_jacobi(g)
+        np.testing.assert_allclose(np.sort(s)[::-1], lapack_singular_values(g), rtol=1e-12)
+        np.testing.assert_allclose((u * s) @ v.T, g, atol=1e-10)
 
 
 class TestTruncatedSvd:
@@ -98,6 +188,16 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(
             first.singular_values, second.singular_values, rtol=1e-9
         )
+
+    def test_production_shape_against_dense_oracle(self):
+        # rank 105 fits inside k + oversample = 110, so only rounding separates the two
+        rng = np.random.default_rng(5)
+        left = sp.random(2000, 105, density=0.05, format="csr", rng=rng)
+        right = sp.random(105, 4000, density=0.05, format="csr", rng=rng)
+        matrix = (left @ right).tocsr()
+        result = truncated_svd(matrix, k=100, oversample=10, power_iters=2, seed=0)
+        oracle = lapack_singular_values(matrix.toarray())
+        np.testing.assert_allclose(result.singular_values, oracle[:100], rtol=1e-6)
 
     def test_k_out_of_range(self, rng):
         sparse, _ = random_sparse(rng, 10, 12)
