@@ -14,16 +14,10 @@ from .corpus import (
 from .linalg import EmbeddingTable, SvdResult, embed, truncated_svd
 from .model import (
     AdamState,
-    AttentionParams,
-    ClassifierParams,
-    Gradients,
     ModelParams,
-    PoolResult,
     adam_step,
-    classifier_forward,
     init_params,
     loss_and_grad,
-    mean_pool,
     pool_sequence,
 )
 from .train import (

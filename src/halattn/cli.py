@@ -89,13 +89,7 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_build_hal(args) -> int:
     vocab = store.load_vocab(args.vocab)
-    docs = load_labeled_dir(args.data)
-    encoded, skipped = encode_corpus(docs, vocab, args.seq_len, skip_empty=True)
-    if skipped:
-        print(f"warning: skipped {skipped} documents with no in-vocabulary tokens",
-              file=sys.stderr)
-    if not encoded:
-        raise CorpusError(f"no encodable documents under {args.data}")
+    encoded = _load_split_dir(args.data, args.seq_len, vocab)
     pair = build_cooc(encoded, vocab.size, args.window)
     store.save_cooc(pair, vocab, args.out)
     print(

@@ -4,7 +4,7 @@ Binary artifacts share an envelope of 8-byte magic, u64 version, and a u64
 payload checksum (truncated SHA-256). Each format has its own version. Text
 artifacts (vocabulary, metrics) carry the checksum on a trailing `#crc64`
 line instead so their body stays line-oriented. Writers go through a
-temporary file and an atomic rename.
+unique temporary file, fsync and an atomic rename.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
 from .linalg import EmbeddingTable
-from .model import AttentionParams, ClassifierParams, ModelParams
+from .model import ModelParams
 from .train import Checkpoint, EpochRecord, TrainConfig
 
 MAGIC_VOCAB = b"HALVOCAB"
@@ -68,10 +69,28 @@ def _checksum(payload: bytes) -> int:
 
 
 def _write_atomic(path: str | Path, data: bytes):
+    """Stage data in a unique temp file beside path, fsync it, rename it over
+    path, then fsync the directory so the rename survives a crash."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates 0600; give the artifact the mode a plain open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class _Reader:
@@ -347,27 +366,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     n_tensors = reader.u64()
     tensors = dict(_tensor_from(reader, path) for _ in range(n_tensors))
     reader.expect_end()
-
-    def grab(name: str) -> np.ndarray:
+    names = [f.name for f in fields(ModelParams)]
+    for name in names:
         if name not in tensors:
             raise FormatError(path, f"missing tensor {name!r}")
-        return tensors.pop(name)
-
-    params = ModelParams(
-        attention=AttentionParams(
-            w_a=grab("w_a"), b_a=grab("b_a"), v_a=grab("v_a"),
-            temperature=config.temperature,
-        ),
-        classifier=ClassifierParams(
-            w_c=grab("w_c"), b_c=grab("b_c"),
-            ln_gain=grab("ln_gain"), ln_shift=grab("ln_shift"),
-            w_o=grab("w_o"), b_o=grab("b_o"),
-            dropout_p=config.dropout_p,
-        ),
-    )
-    if tensors:
-        raise FormatError(path, f"unexpected tensors {sorted(tensors)}")
-    return Checkpoint(config=config, params=params, best_epoch=best_epoch,
+    extra = sorted(set(tensors) - set(names))
+    if extra:
+        raise FormatError(path, f"unexpected tensors {extra}")
+    return Checkpoint(config=config, params=ModelParams(**tensors), best_epoch=best_epoch,
                       best_val_acc=best_val_acc)
 
 

@@ -4,7 +4,7 @@ evaluation, and per-token attention inspection."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class TrainConfig:
     def with_pooling(self, pooling: str) -> "TrainConfig":
         return replace(self, pooling=pooling)
 
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
 
 @dataclass
 class EpochRecord:
@@ -130,13 +126,15 @@ def _accuracy(
     docs: list[EncodedDocument],
     embeddings: EmbeddingTable,
     params: ModelParams,
-    pooling: str,
+    config: TrainConfig,
     eval_batch: int = 512,
 ) -> float:
     correct = 0
     for start in range(0, len(docs), eval_batch):
         chunk = docs[start : start + eval_batch]
-        logits = predict_logits(chunk, embeddings, params, pooling)
+        logits = predict_logits(
+            chunk, embeddings, params, config.pooling, temperature=config.temperature
+        )
         labels = np.array([d.label for d in chunk])
         correct += int((logits.argmax(axis=-1) == labels).sum())
     return correct / len(docs)
@@ -179,7 +177,8 @@ def fit(
             batch = [train_set[i] for i in batch_indices]
             try:
                 loss, grads, acc = loss_and_grad(
-                    batch, embeddings, params, config.pooling, config.weight_decay, rng
+                    batch, embeddings, params, config.pooling, config.weight_decay, rng,
+                    temperature=config.temperature, dropout_p=config.dropout_p,
                 )
             except DivergenceError as exc:
                 raise DivergenceError(
@@ -188,10 +187,8 @@ def fit(
             adam_step(params, grads, adam, config.learning_rate)
             loss_sum += loss * len(batch)
             acc_sum += acc * len(batch)
-        val_acc = _accuracy(val_set, embeddings, params, config.pooling)
-        test_acc = (
-            _accuracy(test_set, embeddings, params, config.pooling) if test_set else None
-        )
+        val_acc = _accuracy(val_set, embeddings, params, config)
+        test_acc = _accuracy(test_set, embeddings, params, config) if test_set else None
         record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n,
@@ -206,7 +203,7 @@ def fit(
         if best is None or val_acc > best.best_val_acc:
             best = Checkpoint(
                 config=config,
-                params=params.copy(),
+                params=params.map(np.copy),
                 best_epoch=epoch,
                 best_val_acc=val_acc,
             )
@@ -230,7 +227,7 @@ def evaluate(
         )
     if not dataset:
         raise TrainError("cannot evaluate an empty dataset")
-    return _accuracy(dataset, embeddings, checkpoint.params, checkpoint.config.pooling)
+    return _accuracy(dataset, embeddings, checkpoint.params, checkpoint.config)
 
 
 def inspect_attention(
@@ -243,12 +240,17 @@ def inspect_attention(
     if checkpoint.config.pooling != "attention":
         raise TrainError("attention inspection requires an attention-pooling checkpoint")
     doc = encode(RawDocument(text=text, label=0), vocab, checkpoint.config.seq_len)
-    x = embeddings.gather(doc.ids)
-    result = pool_sequence(x, doc.mask, checkpoint.params.attention, "attention")
-    logits = predict_logits([doc], embeddings, checkpoint.params, "attention")[0]
+    temperature = checkpoint.config.temperature
+    _, alphas = pool_sequence(
+        embeddings.gather(doc.ids), doc.mask, checkpoint.params, "attention",
+        temperature=temperature,
+    )
+    logits = predict_logits(
+        [doc], embeddings, checkpoint.params, "attention", temperature=temperature
+    )[0]
     probs = _softmax_rows(logits[None])[0]
     pairs = [
-        (vocab.tokens[int(doc.ids[t])], float(result.alphas[t]))
+        (vocab.tokens[int(doc.ids[t])], float(alphas[t]))
         for t in range(doc.real_length)
     ]
     return AttentionReport(tokens=pairs, predicted=int(np.argmax(logits)), probs=probs)

@@ -15,17 +15,13 @@ import scipy.sparse as sp
 from conftest import imdb_root, requires_imdb
 from synthetic import DESK_CONFIG, make_desk_corpus, split_desk_corpus
 from test_gradients import max_gradient_error
+from test_model import params_with, scored_sequence
 
 from halattn import store
 from halattn.cooc import build_cooc, concat_pair
 from halattn.corpus import EncodedDocument, Vocabulary, build_vocab, encode_corpus, load_labeled_dir
 from halattn.linalg import EmbeddingTable, embed, truncated_svd
-from halattn.model import (
-    AttentionParams,
-    attention_weights,
-    mean_pool,
-    pool_sequence,
-)
+from halattn.model import pool_sequence
 from halattn.train import TrainConfig, evaluate, fit, inspect_attention, split
 
 
@@ -202,17 +198,17 @@ def test_criterion_5_temperature_limit():
         m = int(rng.integers(1, seq_len + 1))
         mask = np.arange(seq_len) < m
         x = rng.uniform(-1.0, 1.0, (seq_len, k))
-        params = AttentionParams(
+        params = params_with(
+            k, d_a,
             w_a=rng.uniform(-0.5, 0.5, (d_a, k)),
             b_a=rng.uniform(-0.5, 0.5, d_a),
             v_a=rng.uniform(-0.05, 0.05, d_a),
-            temperature=1e6,
         )
-        s_mean = mean_pool(x, mask)
-        diff = pool_sequence(x, mask, params, "attention").pooled - s_mean
-        worst = max(worst, float(np.abs(diff).max()))
+        s_mean, _ = pool_sequence(x, mask, params, "mean", temperature=1e6)
+        s_attn, _ = pool_sequence(x, mask, params, "attention", temperature=1e6)
+        worst = max(worst, float(np.abs(s_attn - s_mean).max()))
         params.v_a = np.zeros(d_a)
-        s_zero = pool_sequence(x, mask, params, "attention").pooled
+        s_zero, _ = pool_sequence(x, mask, params, "attention", temperature=1e6)
         exact = exact and np.array_equal(s_zero, s_mean)
     report(
         5,
@@ -325,13 +321,13 @@ def test_criterion_8_attention_normalization():
     ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 16))
-        e = rng.standard_normal(n) * 4.0
+        x, params = scored_sequence(rng.standard_normal(n) * 4.0)  # scores exactly these
         mask = rng.random(n) < 0.7
         if not mask.any():
             mask[int(rng.integers(n))] = True
         argmaxes = set()
         for tau in (0.5, 1.0, 2.0, 10.0):
-            alphas = attention_weights(e, mask, tau)
+            _, alphas = pool_sequence(x, mask, params, "attention", temperature=tau)
             ok = ok and abs(alphas.sum() - 1.0) < 1e-6
             ok = ok and np.all(alphas[~mask] == 0.0)
             argmaxes.add(int(np.argmax(alphas)))

@@ -1,0 +1,69 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps functions of this
+package by module attribute and reads their arguments by name. These checks
+import the tracer and run no benchmark pass, so a rename that would leave a
+span silently untraced fails here."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def _targets(tracing) -> dict[str, object]:
+    """Span name ("<layer>.<attr>") -> the function the tracer would wrap."""
+    return {
+        f"{layer}.{attr}": getattr(importlib.import_module(module), attr, None)
+        for module, attr, layer in tracing.TARGETS
+    }
+
+
+def _arguments_read(tracing) -> dict[str, set[str]]:
+    """Span name -> argument names `_facts` reads as `a["..."]` for it."""
+    tree = ast.parse(inspect.getsource(tracing._facts))
+    out: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        names = {c.value for c in ast.walk(node.test) if isinstance(c, ast.Constant)}
+        read = {
+            sub.slice.value
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Subscript)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "a"
+            and isinstance(sub.slice, ast.Constant)
+        }
+        for name in names:
+            out.setdefault(name, set()).update(read)
+    return out
+
+
+def test_every_target_resolves(tracing):
+    missing = [name for name, fn in _targets(tracing).items() if fn is None]
+    assert missing == []
+
+
+def test_every_argument_read_is_a_parameter(tracing):
+    targets = _targets(tracing)
+    read = _arguments_read(tracing)
+    assert {"model.loss_and_grad", "model.predict_logits", "train.fit"} <= set(read)
+    for name, args in read.items():
+        assert name in targets, f"_facts reads arguments of {name}, which no target wraps"
+        params = inspect.signature(targets[name]).parameters
+        assert args <= set(params), f"{name} lacks {sorted(args - set(params))}"

@@ -15,8 +15,6 @@ TOLERANCE = 1e-4
 
 class ToyCfg:
     embed_dim, attn_dim, hidden = EMBED_DIM, ATTN_DIM, HIDDEN
-    temperature = 2.0
-    dropout_p = 0.6
     seed = 0
 
 
@@ -40,11 +38,11 @@ def toy_batch(rng, n_docs=3):
 def toy_params(rng, seed):
     params = init_params(ToyCfg, seed=seed)
     # randomize the zero-initialized tensors so their gradients are generic
-    params.attention.b_a = 0.1 * rng.standard_normal(ATTN_DIM)
-    params.classifier.b_c = 0.1 * rng.standard_normal(HIDDEN)
-    params.classifier.ln_gain = 1.0 + 0.1 * rng.standard_normal(HIDDEN)
-    params.classifier.ln_shift = 0.1 * rng.standard_normal(HIDDEN)
-    params.classifier.b_o = 0.1 * rng.standard_normal(2)
+    params.b_a = 0.1 * rng.standard_normal(ATTN_DIM)
+    params.b_c = 0.1 * rng.standard_normal(HIDDEN)
+    params.ln_gain = 1.0 + 0.1 * rng.standard_normal(HIDDEN)
+    params.ln_shift = 0.1 * rng.standard_normal(HIDDEN)
+    params.b_o = 0.1 * rng.standard_normal(2)
     return params
 
 
@@ -63,7 +61,8 @@ def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77):
         # a fresh generator per call keeps the dropout mask identical, so
         # the loss is a deterministic function of the parameters
         return loss_and_grad(
-            batch, table, params, pooling, weight_decay, np.random.default_rng(noise_seed)
+            batch, table, params, pooling, weight_decay, np.random.default_rng(noise_seed),
+            temperature=2.0, dropout_p=0.6,
         )
 
     _, grads, _ = loss_at()
@@ -99,10 +98,10 @@ def test_gradients_without_dropout():
     table = EmbeddingTable(vectors=rng.standard_normal((VOCAB, EMBED_DIM)).astype(np.float32))
     batch = toy_batch(rng)
     params = toy_params(rng, 21)
-    params.classifier.dropout_p = 0.0
 
     def loss_at():
-        return loss_and_grad(batch, table, params, "attention", 1e-3, None)
+        return loss_and_grad(batch, table, params, "attention", 1e-3, None,
+                             temperature=2.0, dropout_p=0.0)
 
     _, grads, _ = loss_at()
     worst = 0.0

@@ -7,40 +7,72 @@ from halattn.corpus import EncodedDocument
 from halattn.linalg import EmbeddingTable
 from halattn.model import (
     AdamState,
-    AttentionParams,
-    ClassifierParams,
     DivergenceError,
-    Gradients,
     ModelError,
     ModelParams,
+    _head_forward,
     adam_step,
-    attention_pool,
-    attention_scores,
-    attention_weights,
-    classifier_forward,
     init_params,
     loss_and_grad,
-    mean_pool,
     pool_sequence,
+    predict_logits,
 )
+from halattn.train import TrainConfig, TrainError
 
 
 class Cfg:
     embed_dim = 4
     attn_dim = 3
     hidden = 5
-    temperature = 2.0
-    dropout_p = 0.0
     seed = 0
 
 
-def random_attention(rng, k=4, d_a=3, temperature=2.0):
-    return AttentionParams(
+def params_with(k=4, d_a=3, h=5, **tensors):
+    """Zero tensors with unit LayerNorm gain, overridden by `tensors`.
+
+    Its logits are exactly b_o for every input.
+    """
+    base = dict(
+        w_a=np.zeros((d_a, k)), b_a=np.zeros(d_a), v_a=np.zeros(d_a),
+        w_c=np.zeros((h, k)), b_c=np.zeros(h), ln_gain=np.ones(h), ln_shift=np.zeros(h),
+        w_o=np.zeros((2, h)), b_o=np.zeros(2),
+    )
+    base.update(tensors)
+    return ModelParams(**base)
+
+
+def random_attention(rng, k=4, d_a=3):
+    return params_with(
+        k, d_a,
         w_a=rng.standard_normal((d_a, k)),
         b_a=rng.standard_normal(d_a),
         v_a=rng.standard_normal(d_a),
-        temperature=temperature,
     )
+
+
+def scored_sequence(scores, shift=0.0, y=None):
+    """A sequence and params whose attention scores are exactly scores + shift.
+
+    Token t is [one-hot_t, y_t]. w_a reads only the one-hot part, scaled so
+    that tanh rounds to exactly 1.0 (tanh(0) is exactly 0.0), and one
+    always-on unit adds `shift`. So e_t = scores[t] + shift, with no other
+    rounding.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    x = np.hstack([np.eye(n), np.zeros((n, 0)) if y is None else y])
+    w_a = np.zeros((n + 1, x.shape[1]))
+    w_a[np.arange(n), np.arange(n)] = 40.0
+    b_a = np.zeros(n + 1)
+    b_a[n] = 40.0
+    params = params_with(x.shape[1], n + 1, w_a=w_a, b_a=b_a, v_a=np.append(scores, shift))
+    return x, params
+
+
+def weights_for(scores, mask, temperature, shift=0.0):
+    """Attention weights that pool_sequence gives for these exact scores."""
+    x, params = scored_sequence(scores, shift)
+    return pool_sequence(x, mask, params, "attention", temperature=temperature)[1]
 
 
 def make_doc(ids, seq_len, label=0):
@@ -54,6 +86,16 @@ def make_doc(ids, seq_len, label=0):
     )
 
 
+def mean_pool(x, mask):
+    return pool_sequence(x, mask, params_with(x.shape[1]), "mean", temperature=2.0)[0]
+
+
+def one_token_batch(vector):
+    """A one-document batch whose pooled vector is exactly `vector`."""
+    table = EmbeddingTable(vectors=np.array([vector], dtype=np.float32))
+    return [make_doc([0], 2)], table
+
+
 def loop_scores(x, mask, params):
     """Per-token oracle for the additive scoring network."""
     out = np.full(x.shape[0], -np.inf)
@@ -65,45 +107,47 @@ def loop_scores(x, mask, params):
 
 class TestAttentionScores:
     def test_zero_projection(self, rng):
+        # v_a = 0 scores every real token 0: weights exactly 1/m, 0 at padding
         params = random_attention(rng)
         params.v_a = np.zeros(3)
         x = rng.standard_normal((5, 4))
         mask = np.array([True] * 4 + [False])
-        e = attention_scores(x, mask, params)
-        assert np.all(e[:4] == 0.0)
-        assert e[4] == -np.inf
+        _, alphas = pool_sequence(x, mask, params, "attention", temperature=2.0)
+        assert np.all(alphas[:4] == 0.25)
+        assert alphas[4] == 0.0
 
     def test_scalar_closed_form(self):
-        params = AttentionParams(
-            w_a=np.array([[1.0]]), b_a=np.zeros(1), v_a=np.ones(1), temperature=1.0
-        )
-        e = attention_scores(np.array([[0.5]]), np.array([True]), params)
-        assert e[0] == pytest.approx(np.tanh(0.5), abs=1e-12)
-        assert e[0] == pytest.approx(0.462117, abs=1e-6)
+        params = params_with(1, 1, w_a=np.array([[1.0]]), v_a=np.ones(1))
+        x = np.array([[0.5], [0.0]])  # scores tanh(0.5) and tanh(0) = 0
+        _, alphas = pool_sequence(x, np.ones(2, bool), params, "attention", temperature=1.0)
+        assert np.log(alphas[0] / alphas[1]) == pytest.approx(np.tanh(0.5), abs=1e-12)
+        assert np.log(alphas[0] / alphas[1]) == pytest.approx(0.462117, abs=1e-6)
 
     def test_matches_loop_oracle(self, rng):
         params = random_attention(rng)
         x = rng.standard_normal((4, 4))
         mask = np.array([True, False, True, True])
-        np.testing.assert_allclose(
-            attention_scores(x, mask, params), loop_scores(x, mask, params), atol=1e-12
-        )
+        e = loop_scores(x, mask, params)
+        expected = np.exp((e - e.max()) / 2.0)
+        expected /= expected.sum()
+        _, alphas = pool_sequence(x, mask, params, "attention", temperature=2.0)
+        np.testing.assert_allclose(alphas, expected, atol=1e-12)
 
 
 class TestAttentionWeights:
     def test_symmetry(self):
-        alphas = attention_weights(np.zeros(2), np.ones(2, bool), 2.0)
+        alphas = weights_for(np.zeros(2), np.ones(2, bool), 2.0)
         assert alphas.tolist() == [0.5, 0.5]
 
     def test_closed_form_two_to_one(self):
         e = np.array([2.0 * np.log(2.0), 0.0])
-        alphas = attention_weights(e, np.ones(2, bool), 2.0)
+        alphas = weights_for(e, np.ones(2, bool), 2.0)
         np.testing.assert_allclose(alphas, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_masked_hand_softmax(self):
         e = np.array([5.0, 1.0, 3.0])
         mask = np.array([True, False, True])
-        alphas = attention_weights(e, mask, 1.0)
+        alphas = weights_for(e, mask, 1.0)
         denom = np.exp(5.0) + np.exp(3.0)
         np.testing.assert_allclose(
             alphas, [np.exp(5.0) / denom, 0.0, np.exp(3.0) / denom], atol=1e-12
@@ -111,13 +155,22 @@ class TestAttentionWeights:
         np.testing.assert_allclose(alphas, [0.8808, 0.0, 0.1192], atol=1e-4)
         assert alphas[1] == 0.0
 
-    def test_all_masked_rejected(self):
-        with pytest.raises(ModelError):
-            attention_weights(np.zeros(3), np.zeros(3, bool), 1.0)
+    def test_all_masked_rejected(self, rng):
+        x, params = scored_sequence(np.zeros(3))
+        batch = [make_doc([1, 2], 3), make_doc([], 3)]  # the second is all padding
+        table = EmbeddingTable(vectors=rng.standard_normal((4, 4)).astype(np.float32))
+        for pooling in ("attention", "mean"):
+            with pytest.raises(ModelError, match="fully masked"):
+                pool_sequence(x, np.zeros(3, bool), params, pooling, temperature=1.0)
+            with pytest.raises(ModelError, match="fully masked"):
+                predict_logits(batch, table, params_with(), pooling, temperature=1.0)
 
     def test_invalid_temperature(self):
-        with pytest.raises(ModelError):
-            attention_weights(np.zeros(2), np.ones(2, bool), 0.0)
+        # the config is the one check on a temperature from outside
+        with pytest.raises(TrainError):
+            TrainConfig(temperature=0.0)
+        with pytest.raises(TrainError):
+            TrainConfig(temperature=-1.0)
 
     @given(
         st.lists(st.floats(-30, 30), min_size=1, max_size=12),
@@ -130,7 +183,7 @@ class TestAttentionWeights:
         mask = np.array([(mask_bits >> i) & 1 == 1 for i in range(len(scores))])
         if not mask.any():
             mask[0] = True
-        alphas = attention_weights(e, mask, tau)
+        alphas = weights_for(e, mask, tau)
         assert abs(alphas.sum() - 1.0) < 1e-6
         assert np.all(alphas[~mask] == 0.0)
         assert np.all((alphas >= 0.0) & (alphas <= 1.0))
@@ -147,8 +200,8 @@ class TestAttentionWeights:
         shift = shift_units / 64.0
         mask = np.ones(len(score_units), bool)
         mask[0] = True
-        base = attention_weights(e, mask, 2.0)
-        shifted = attention_weights(e + shift, mask, 2.0)
+        base = weights_for(e, mask, 2.0)
+        shifted = weights_for(e, mask, 2.0, shift=shift)
         assert np.array_equal(base, shifted)
 
     def test_argmax_temperature_invariant(self, rng):
@@ -159,7 +212,7 @@ class TestAttentionWeights:
             if not mask.any():
                 mask[0] = True
             argmaxes = {
-                int(np.argmax(attention_weights(e, mask, tau)))
+                int(np.argmax(weights_for(e, mask, tau)))
                 for tau in (0.5, 1.0, 2.0, 10.0)
             }
             assert len(argmaxes) == 1
@@ -167,25 +220,27 @@ class TestAttentionWeights:
 
 class TestPooling:
     def test_one_hot_selects(self, rng):
-        x = rng.standard_normal((5, 3))
-        alphas = np.zeros(5)
-        alphas[2] = 1.0
-        assert np.array_equal(attention_pool(x, alphas), x[2])
+        y = rng.standard_normal((5, 3))
+        x, params = scored_sequence([0.0, 0.0, 1000.0, 0.0, 0.0], y=y)
+        pooled, alphas = pool_sequence(x, np.ones(5, bool), params, "attention", temperature=1.0)
+        assert alphas.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]  # exp(-1000) is an exact 0
+        assert np.array_equal(pooled[5:], y[2])
 
     def test_uniform_reduces_to_mean(self, rng):
+        params = random_attention(rng, k=3)
+        params.v_a = np.zeros(3)
         x = rng.standard_normal((4, 3))
         mask = np.array([True, True, True, False])
-        alphas = mask / 3.0
-        np.testing.assert_allclose(
-            attention_pool(x, alphas), x[:3].mean(axis=0), atol=1e-12
-        )
+        pooled, alphas = pool_sequence(x, mask, params, "attention", temperature=2.0)
+        assert np.array_equal(alphas, mask / 3.0)
+        np.testing.assert_allclose(pooled, x[:3].mean(axis=0), atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
+        params = random_attention(rng)
         x = rng.standard_normal((6, 4))
-        alphas = rng.random(6)
-        alphas /= alphas.sum()
+        pooled, alphas = pool_sequence(x, np.ones(6, bool), params, "attention", temperature=2.0)
         expected = sum(alphas[t] * x[t] for t in range(6))
-        np.testing.assert_allclose(attention_pool(x, alphas), expected, atol=1e-12)
+        np.testing.assert_allclose(pooled, expected, atol=1e-12)
 
     def test_mean_single_token(self, rng):
         x = rng.standard_normal((4, 3))
@@ -214,22 +269,21 @@ class TestPooling:
         x = rng.standard_normal((6, 4))
         mask = np.array([True, True, False, True, False, False])
         for pooling in ("mean", "attention"):
-            result = pool_sequence(x, mask, params, pooling)
-            assert abs(result.alphas.sum() - 1.0) < 1e-6
-            assert np.all(result.alphas[~mask] == 0.0)
+            _, alphas = pool_sequence(x, mask, params, pooling, temperature=2.0)
+            assert abs(alphas.sum() - 1.0) < 1e-6
+            assert np.all(alphas[~mask] == 0.0)
 
     def test_temperature_limit_equals_mean(self, rng):
         for _ in range(20):
-            params = AttentionParams(
+            params = params_with(
                 w_a=rng.uniform(-0.5, 0.5, (3, 4)),
                 b_a=rng.uniform(-0.5, 0.5, 3),
                 v_a=rng.uniform(-0.05, 0.05, 3),
-                temperature=1e6,
             )
             m = int(rng.integers(1, 7))
             mask = np.arange(6) < m
             x = rng.uniform(-1, 1, (6, 4))
-            s_attn = pool_sequence(x, mask, params, "attention").pooled
+            s_attn, _ = pool_sequence(x, mask, params, "attention", temperature=1e6)
             assert np.abs(s_attn - mean_pool(x, mask)).max() < 1e-6
 
     def test_zero_init_equals_mean_exactly(self, rng):
@@ -239,82 +293,65 @@ class TestPooling:
             m = int(rng.integers(1, 7))
             mask = np.arange(6) < m
             x = rng.standard_normal((6, 4))
-            s_attn = pool_sequence(x, mask, params, "attention").pooled
+            s_attn, _ = pool_sequence(x, mask, params, "attention", temperature=2.0)
             assert np.array_equal(s_attn, mean_pool(x, mask))
 
 
 class TestClassifierForward:
-    def _params(self, h=4, k=3, dropout_p=0.0):
-        return ClassifierParams(
-            w_c=np.zeros((h, k)),
-            b_c=np.zeros(h),
-            ln_gain=np.ones(h),
-            ln_shift=np.zeros(h),
-            w_o=np.zeros((2, h)),
-            b_o=np.zeros(2),
-            dropout_p=dropout_p,
-        )
-
     def test_zero_output_weights_give_bias(self, rng):
-        params = self._params()
-        params.w_c = rng.standard_normal((4, 3))
-        params.b_o = np.array([0.3, -0.7])
-        logits, _ = classifier_forward(rng.standard_normal(3), params, mode="eval")
-        np.testing.assert_allclose(logits, [0.3, -0.7], atol=0)
+        table = EmbeddingTable(vectors=rng.standard_normal((6, 3)).astype(np.float32))
+        batch = [make_doc(rng.integers(0, 6, m), 4) for m in (1, 3, 4)]
+        params = params_with(k=3, h=4, w_c=rng.standard_normal((4, 3)), b_o=np.array([0.3, -0.7]))
+        logits = predict_logits(batch, table, params, "mean", temperature=2.0)
+        np.testing.assert_allclose(logits, [[0.3, -0.7]] * 3, atol=0)
 
     def test_eval_deterministic(self, rng):
-        params = self._params(dropout_p=0.5)
-        params.w_c = rng.standard_normal((4, 3))
-        params.w_o = rng.standard_normal((2, 4))
-        s = rng.standard_normal(3)
-        first, _ = classifier_forward(s, params, mode="eval")
-        second, _ = classifier_forward(s, params, mode="eval")
+        batch, table = one_token_batch(rng.standard_normal(3))
+        params = params_with(k=3, h=4, w_c=rng.standard_normal((4, 3)),
+                             w_o=rng.standard_normal((2, 4)))
+        first = predict_logits(batch, table, params, "mean", temperature=2.0)
+        second = predict_logits(batch, table, params, "mean", temperature=2.0)
         assert np.array_equal(first, second)
 
     def test_two_point_layer_norm(self):
-        params = ClassifierParams(
-            w_c=np.eye(2),
-            b_c=np.zeros(2),
-            ln_gain=np.ones(2),
-            ln_shift=np.zeros(2),
-            w_o=np.eye(2),
-            b_o=np.zeros(2),
-            dropout_p=0.0,
-        )
         # z = [1, 3]: mean 2, population variance 1 -> normalized [-1, 1]
-        logits, cache = classifier_forward(np.array([1.0, 3.0]), params, mode="eval")
-        np.testing.assert_allclose(cache["xhat"][0], [-1.0, 1.0], atol=1e-4)
-        np.testing.assert_allclose(logits, [0.0, 1.0], atol=1e-4)  # after ReLU
+        batch, table = one_token_batch([1.0, 3.0])
+        params = params_with(k=2, h=2, w_c=np.eye(2), w_o=np.eye(2))
+        logits = predict_logits(batch, table, params, "mean", temperature=2.0)
+        np.testing.assert_allclose(logits, [[0.0, 1.0]], atol=1e-4)  # after ReLU
+        params.ln_shift = np.array([2.0, 2.0])  # lifts xhat clear of the ReLU
+        logits = predict_logits(batch, table, params, "mean", temperature=2.0)
+        np.testing.assert_allclose(logits - 2.0, [[-1.0, 1.0]], atol=1e-4)
 
     def test_train_mode_needs_noise(self, rng):
-        params = self._params(dropout_p=0.5)
-        with pytest.raises(ModelError):
-            classifier_forward(rng.standard_normal(3), params, mode="train")
+        batch, table = one_token_batch(rng.standard_normal(4))
+        with pytest.raises(ModelError, match="noise generator"):
+            loss_and_grad(batch, table, params_with(), "mean", 0.0, None,
+                          temperature=2.0, dropout_p=0.5)
 
     def test_dropout_expectation_matches_eval(self, rng):
         h, k = 5, 3
-        params = ClassifierParams(
+        params = params_with(
+            k, h=h,
             w_c=rng.standard_normal((h, k)),
             b_c=rng.standard_normal(h),
-            ln_gain=np.ones(h),
             ln_shift=0.3 * rng.standard_normal(h),
-            w_o=np.zeros((2, h)),
-            b_o=np.zeros(2),
-            dropout_p=0.6,
         )
         s = rng.standard_normal(k)
-        _, eval_cache = classifier_forward(s, params, mode="eval")
+        _, eval_cache = _head_forward(s[None], params, 0.0, None)
         eval_hidden = eval_cache["hidden"][0]
-        from halattn.model import _classifier_forward
 
         n = 100_000
         tiled = np.tile(s, (n, 1))
-        _, cache = _classifier_forward(tiled, params, True, np.random.default_rng(9))
+        _, cache = _head_forward(tiled, params, 0.6, np.random.default_rng(9))
         sampled = cache["hidden"].mean(axis=0)
         active = eval_hidden > 1e-3
         assert active.any()
         np.testing.assert_allclose(sampled[active], eval_hidden[active], rtol=0.02)
         np.testing.assert_allclose(sampled[~active], eval_hidden[~active], atol=1e-12)
+
+
+NO_DROPOUT = dict(temperature=2.0, dropout_p=0.0)
 
 
 class TestLossAndGrad:
@@ -330,21 +367,10 @@ class TestLossAndGrad:
             )
         return docs
 
-    def _zero_params(self, k=4, d_a=3, h=5):
-        return ModelParams(
-            attention=AttentionParams(
-                w_a=np.zeros((d_a, k)), b_a=np.zeros(d_a), v_a=np.zeros(d_a), temperature=2.0
-            ),
-            classifier=ClassifierParams(
-                w_c=np.zeros((h, k)), b_c=np.zeros(h), ln_gain=np.ones(h),
-                ln_shift=np.zeros(h), w_o=np.zeros((2, h)), b_o=np.zeros(2), dropout_p=0.0,
-            ),
-        )
-
     def test_uniform_logits_loss_is_ln2(self, rng):
         batch = self._batch(rng)
         loss, _, acc = loss_and_grad(
-            batch, self._table(rng), self._zero_params(), "attention", 0.0, None
+            batch, self._table(rng), params_with(), "attention", 0.0, None, **NO_DROPOUT
         )
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
         labels = np.array([d.label for d in batch])
@@ -353,7 +379,7 @@ class TestLossAndGrad:
     def test_zero_weights_kill_attention_gradient(self, rng):
         batch = self._batch(rng)
         _, grads, _ = loss_and_grad(
-            batch, self._table(rng), self._zero_params(), "attention", 0.0, None
+            batch, self._table(rng), params_with(), "attention", 0.0, None, **NO_DROPOUT
         )
         assert np.all(grads.v_a == 0.0)
         assert np.all(grads.w_a == 0.0)
@@ -361,38 +387,33 @@ class TestLossAndGrad:
 
     def test_l2_term_added_to_loss(self, rng):
         params = init_params(Cfg, seed=1)
-        params.classifier.dropout_p = 0.0
         batch = self._batch(rng)
         table = self._table(rng)
-        base, _, _ = loss_and_grad(batch, table, params, "attention", 0.0, None)
+        base, _, _ = loss_and_grad(batch, table, params, "attention", 0.0, None, **NO_DROPOUT)
         lam = 0.01
-        decayed, _, _ = loss_and_grad(batch, table, params, "attention", lam, None)
+        decayed, _, _ = loss_and_grad(batch, table, params, "attention", lam, None, **NO_DROPOUT)
         expected = lam * sum(
-            float((w * w).sum())
-            for w in (params.attention.w_a, params.attention.v_a,
-                      params.classifier.w_c, params.classifier.w_o)
+            float((w * w).sum()) for w in (params.w_a, params.v_a, params.w_c, params.w_o)
         )
         assert decayed - base == pytest.approx(expected, rel=1e-12)
 
     def test_mean_pooling_excludes_attention_from_l2(self, rng):
         params = init_params(Cfg, seed=1)
-        params.classifier.dropout_p = 0.0
         batch = self._batch(rng)
         table = self._table(rng)
         lam = 0.01
-        loss, grads, _ = loss_and_grad(batch, table, params, "mean", lam, None)
-        expected = lam * sum(
-            float((w * w).sum()) for w in (params.classifier.w_c, params.classifier.w_o)
-        )
-        base, _, _ = loss_and_grad(batch, table, params, "mean", 0.0, None)
+        loss, grads, _ = loss_and_grad(batch, table, params, "mean", lam, None, **NO_DROPOUT)
+        expected = lam * sum(float((w * w).sum()) for w in (params.w_c, params.w_o))
+        base, _, _ = loss_and_grad(batch, table, params, "mean", 0.0, None, **NO_DROPOUT)
         assert loss - base == pytest.approx(expected, rel=1e-12)
         assert np.all(grads.w_a == 0.0) and np.all(grads.v_a == 0.0)
 
     def test_non_finite_loss_raises(self, rng):
-        params = self._zero_params()
-        params.classifier.b_o = np.array([np.inf, 0.0])
+        params = params_with(b_o=np.array([np.inf, 0.0]))
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-            loss_and_grad(self._batch(rng), self._table(rng), params, "mean", 0.0, None)
+            loss_and_grad(
+                self._batch(rng), self._table(rng), params, "mean", 0.0, None, **NO_DROPOUT
+            )
 
     def test_embeddings_receive_no_gradient(self, rng):
         # the embedding table is immutable through a training step
@@ -401,10 +422,41 @@ class TestLossAndGrad:
         params = init_params(Cfg, seed=3)
         state = AdamState.for_params(params)
         _, grads, _ = loss_and_grad(
-            self._batch(rng), table, params, "attention", 1e-4, np.random.default_rng(1)
+            self._batch(rng), table, params, "attention", 1e-4, np.random.default_rng(1),
+            **NO_DROPOUT,
         )
         adam_step(params, grads, state, 1e-3)
         assert np.array_equal(table.vectors, before)
+
+    @pytest.mark.parametrize(
+        "zeroed, weight_decay", [(("w_a", "b_a", "v_a"), 1e-3), (("v_a",), 0.0)]
+    )
+    def test_zero_attention_equals_mean_bitwise_on_a_batch(self, rng, zeroed, weight_decay):
+        # v_a = 0 is mean pooling, bit for bit, through the batched training
+        # path: padded batch, dropout on. With w_a left nonzero its L2 term
+        # would differ, so that case runs without decay.
+        batch = self._batch(rng, n=5, seq_len=7)
+        table = self._table(rng)
+        params = init_params(Cfg, seed=4)
+        params.b_a = rng.standard_normal(3)
+        for name in zeroed:
+            setattr(params, name, np.zeros_like(getattr(params, name)))
+        assert any(not doc.mask.all() for doc in batch)
+        hyper = dict(temperature=2.0, dropout_p=0.5)
+        runs = {
+            pooling: loss_and_grad(batch, table, params, pooling, weight_decay,
+                                   np.random.default_rng(8), **hyper)
+            for pooling in ("attention", "mean")
+        }
+        (attn_loss, attn_grads, attn_acc), (mean_loss, mean_grads, mean_acc) = runs.values()
+        assert attn_loss == mean_loss and attn_acc == mean_acc
+        for name in ("w_c", "b_c", "ln_gain", "ln_shift", "w_o", "b_o"):
+            assert np.array_equal(getattr(attn_grads, name), getattr(mean_grads, name)), name
+        attn_logits, mean_logits = (
+            predict_logits(batch, table, params, pooling, temperature=2.0)
+            for pooling in ("attention", "mean")
+        )
+        assert np.array_equal(attn_logits, mean_logits)
 
 
 class TestAdam:
@@ -412,32 +464,32 @@ class TestAdam:
         params = init_params(Cfg, seed=0)
         snapshot = {name: arr.copy() for name, arr in params.tensors().items()}
         state = AdamState.for_params(params)
-        adam_step(params, Gradients.zeros_like(params), state, learning_rate=0.1)
+        adam_step(params, params.map(np.zeros_like), state, learning_rate=0.1)
         for name, arr in params.tensors().items():
             assert np.array_equal(arr, snapshot[name])
 
     def test_first_step_is_signed_learning_rate(self):
         params = init_params(Cfg, seed=0)
-        before = params.attention.w_a.copy()
-        grads = Gradients.zeros_like(params)
+        before = params.w_a.copy()
+        grads = params.map(np.zeros_like)
         grads.w_a[...] = np.where(before >= 0, 3.0, -2.0)  # |g| >> eps
         state = AdamState.for_params(params)
         adam_step(params, grads, state, learning_rate=0.01)
-        delta = params.attention.w_a - before
+        delta = params.w_a - before
         np.testing.assert_allclose(delta, -0.01 * np.sign(grads.w_a), rtol=1e-6)
 
     def test_quadratic_convergence(self):
         # minimize (x0 - 1)^2 + 5 (x1 + 2)^2 using b_a as the variable
         params = init_params(Cfg, seed=0)
-        params.attention.b_a = np.array([3.0, 1.0, 0.0])
+        params.b_a = np.array([3.0, 1.0, 0.0])
         target = np.array([1.0, -2.0, 0.0])
         scale = np.array([1.0, 5.0, 1.0])
         state = AdamState.for_params(params)
         for _ in range(100):
-            grads = Gradients.zeros_like(params)
-            grads.b_a[...] = 2.0 * scale * (params.attention.b_a - target)
+            grads = params.map(np.zeros_like)
+            grads.b_a[...] = 2.0 * scale * (params.b_a - target)
             adam_step(params, grads, state, learning_rate=0.2)
-        loss = float((scale * (params.attention.b_a - target) ** 2).sum())
+        loss = float((scale * (params.b_a - target) ** 2).sum())
         assert loss < 1e-3
 
 
@@ -451,35 +503,33 @@ class TestInitParams:
     def test_different_seeds_differ(self):
         a = init_params(Cfg, seed=5)
         b = init_params(Cfg, seed=6)
-        assert not np.array_equal(a.attention.w_a, b.attention.w_a)
+        assert not np.array_equal(a.w_a, b.w_a)
 
     def test_glorot_bound(self):
         class Big:
-            embed_dim, attn_dim, hidden = 300, 64, 128
-            temperature, dropout_p, seed = 2.0, 0.6, 0
+            embed_dim, attn_dim, hidden, seed = 300, 64, 128, 0
 
         params = init_params(Big, seed=0)
         bound = np.sqrt(6.0 / (300 + 64))
         assert bound == pytest.approx(0.1284, abs=2e-4)
-        assert np.abs(params.attention.w_a).max() <= bound
-        assert np.abs(params.classifier.w_c).max() <= np.sqrt(6.0 / (300 + 128))
-        assert np.abs(params.classifier.w_o).max() <= np.sqrt(6.0 / (128 + 2))
+        assert np.abs(params.w_a).max() <= bound
+        assert np.abs(params.w_c).max() <= np.sqrt(6.0 / (300 + 128))
+        assert np.abs(params.w_o).max() <= np.sqrt(6.0 / (128 + 2))
 
     def test_bias_and_affine_defaults(self):
         params = init_params(Cfg, seed=2)
-        assert np.all(params.attention.b_a == 0.0)
-        assert np.all(params.classifier.b_c == 0.0)
-        assert np.all(params.classifier.b_o == 0.0)
-        assert np.all(params.classifier.ln_shift == 0.0)
-        assert np.all(params.classifier.ln_gain == 1.0)
+        assert np.all(params.b_a == 0.0)
+        assert np.all(params.b_c == 0.0)
+        assert np.all(params.b_o == 0.0)
+        assert np.all(params.ln_shift == 0.0)
+        assert np.all(params.ln_gain == 1.0)
 
     def test_empirical_mean_within_three_sigma(self):
         class Wide:
-            embed_dim, attn_dim, hidden = 500, 200, 16
-            temperature, dropout_p, seed = 2.0, 0.0, 0
+            embed_dim, attn_dim, hidden, seed = 500, 200, 16, 0
 
         params = init_params(Wide, seed=7)
-        samples = params.attention.w_a.ravel()  # 100k uniform draws
+        samples = params.w_a.ravel()  # 100k uniform draws
         bound = np.sqrt(6.0 / (500 + 200))
         sigma_mean = bound / np.sqrt(3.0 * samples.size)
         assert abs(samples.mean()) < 3.0 * sigma_mean

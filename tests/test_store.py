@@ -129,8 +129,31 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.ckpt"
         store.save_checkpoint(checkpoint, path)
         loaded = store.load_checkpoint(path)
-        assert loaded.params.attention.temperature == checkpoint.config.temperature
-        assert loaded.params.classifier.dropout_p == checkpoint.config.dropout_p
+        # both live in the config block only, and are passed to the model from there
+        assert loaded.config.temperature == checkpoint.config.temperature == 2.0
+        assert loaded.config.dropout_p == checkpoint.config.dropout_p == 0.25
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop("b_o"), "missing tensor 'b_o'"),
+            (lambda t: t.update(w_x=np.zeros(2)), r"unexpected tensors \['w_x'\]"),
+        ],
+        ids=["missing", "unexpected"],
+    )
+    def test_tensor_set_must_match(self, checkpoint, tmp_path, edit, message):
+        tensors = checkpoint.params.tensors()
+        edit(tensors)
+        payload = (
+            store._config_bytes(checkpoint.config)
+            + struct.pack("<Qd", checkpoint.best_epoch, checkpoint.best_val_acc)
+            + struct.pack("<Q", len(tensors))
+            + b"".join(store._tensor_bytes(name, arr) for name, arr in tensors.items())
+        )
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(store._envelope(store.MAGIC_CKPT, payload))
+        with pytest.raises(store.FormatError, match=message):
+            store.load_checkpoint(path)
 
 
 class TestMetricsRoundTrip:
@@ -297,3 +320,33 @@ class TestAtomicWrite:
         bigger = Vocabulary.from_tokens(vocab.tokens + ["extra"])
         store.save_vocab(bigger, path)
         assert store.load_vocab(path).tokens == bigger.tokens
+
+    def test_foreign_tmp_file_survives(self, tmp_path, vocab):
+        # another writer's staging file under the fixed name `<name>.tmp`
+        foreign = tmp_path / "vocab.txt.tmp"
+        foreign.write_bytes(b"another writer's half-written bytes")
+        store.save_vocab(vocab, tmp_path / "vocab.txt")
+        assert foreign.read_bytes() == b"another writer's half-written bytes"
+        assert store.load_vocab(tmp_path / "vocab.txt").tokens == vocab.tokens
+
+    def test_failed_write_leaves_nothing_behind(self, tmp_path, vocab, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        store.save_vocab(vocab, path)
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store.os, "fsync", fail)
+        bigger = Vocabulary.from_tokens(vocab.tokens + ["extra"])
+        with pytest.raises(OSError, match="disk full"):
+            store.save_vocab(bigger, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+        assert path.read_bytes() == before
+
+    def test_new_file_mode_follows_umask(self, tmp_path, vocab):
+        path = tmp_path / "vocab.txt"
+        plain = tmp_path / "plain.txt"
+        store.save_vocab(vocab, path)
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode

@@ -4,13 +4,7 @@ import pytest
 from synthetic import make_cluster_dataset
 from halattn.corpus import EncodedDocument, Vocabulary
 from halattn.linalg import EmbeddingTable
-from halattn.model import (
-    AttentionParams,
-    ClassifierParams,
-    DivergenceError,
-    ModelParams,
-    init_params,
-)
+from halattn.model import DivergenceError, ModelParams, init_params
 from halattn.train import (
     Checkpoint,
     TrainConfig,
@@ -183,15 +177,9 @@ def constant_checkpoint(b_o=(0.0, 0.0), seq_len=4, embed_dim=3, pooling="mean"):
         max_epochs=5, val_fraction=0.25, seed=0, pooling=pooling,
     )
     params = ModelParams(
-        attention=AttentionParams(
-            w_a=np.zeros((2, embed_dim)), b_a=np.zeros(2), v_a=np.zeros(2),
-            temperature=2.0,
-        ),
-        classifier=ClassifierParams(
-            w_c=np.zeros((3, embed_dim)), b_c=np.zeros(3), ln_gain=np.ones(3),
-            ln_shift=np.zeros(3), w_o=np.zeros((2, 3)), b_o=np.array(b_o),
-            dropout_p=0.0,
-        ),
+        w_a=np.zeros((2, embed_dim)), b_a=np.zeros(2), v_a=np.zeros(2),
+        w_c=np.zeros((3, embed_dim)), b_c=np.zeros(3), ln_gain=np.ones(3),
+        ln_shift=np.zeros(3), w_o=np.zeros((2, 3)), b_o=np.array(b_o),
     )
     return Checkpoint(
         config=cfg, params=params, best_epoch=1, best_val_acc=0.5,
@@ -238,8 +226,8 @@ class TestInspectAttention:
         vocab = Vocabulary.from_tokens(["alpha", "beta", "gamma"])
         table = EmbeddingTable(vectors=rng.standard_normal((3, 3)).astype(np.float32))
         ckpt = constant_checkpoint(pooling="attention")
-        ckpt.params.attention.w_a = rng.standard_normal((2, 3))
-        ckpt.params.attention.v_a = rng.standard_normal(2)
+        ckpt.params.w_a = rng.standard_normal((2, 3))
+        ckpt.params.v_a = rng.standard_normal(2)
         return vocab, table, ckpt
 
     def test_single_token_gets_full_weight(self, rng):
@@ -251,7 +239,7 @@ class TestInspectAttention:
 
     def test_zero_projection_gives_uniform_weights(self, rng):
         vocab, table, ckpt = self._setup(rng)
-        ckpt.params.attention.v_a = np.zeros(2)
+        ckpt.params.v_a = np.zeros(2)
         report = inspect_attention(ckpt, table, vocab, "alpha beta gamma")
         weights = [w for _, w in report.tokens]
         np.testing.assert_allclose(weights, [1.0 / 3.0] * 3, atol=1e-15)
