@@ -113,6 +113,12 @@ def _cmd_svd(args) -> int:
     return 0
 
 
+def _save_training(ckpt, records, args) -> None:
+    store.save_checkpoint(ckpt, args.out)
+    if args.metrics:
+        store.save_metrics(records, args.metrics)
+
+
 def _cmd_train(args) -> int:
     table, vocab = store.load_embeddings(args.embeddings)
     config = _build_config(args)
@@ -125,11 +131,15 @@ def _cmd_train(args) -> int:
         _load_split_dir(args.test_data, config.seq_len, vocab) if args.test_data else None
     )
     train_set, val_set = split(encoded, config.val_fraction, config.seed)
-    ckpt, records = fit(train_set, val_set, table, config, test_set=test_set,
-                        log=_epoch_logger)
-    store.save_checkpoint(ckpt, args.out)
-    if args.metrics:
-        store.save_metrics(records, args.metrics)
+    try:
+        ckpt, records = fit(train_set, val_set, table, config, test_set=test_set,
+                            log=_epoch_logger)
+    except DivergenceError as exc:
+        if exc.best is not None:  # keep the best epoch before the divergence
+            _save_training(exc.best, exc.records, args)
+            print(f"kept best epoch {exc.best.best_epoch} -> {args.out}", file=sys.stderr)
+        raise
+    _save_training(ckpt, records, args)
     print(
         f"best epoch {ckpt.best_epoch} with validation accuracy "
         f"{ckpt.best_val_acc:.4f} -> {args.out}"

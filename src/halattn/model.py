@@ -8,6 +8,12 @@ training config, not stored with the tensors. Both pooling modes go through
 `_pool`: mean pooling is the uniform-weight case of the same weighted sum as
 attention pooling, so the two are bitwise identical when all attention
 scores coincide (v_a = 0).
+
+An attention score depends on the token id alone, so a batch is pooled from
+the embedding rows of its distinct ids: the scoring network runs once per
+distinct token, and the backward pass sums each token's slot gradients
+before it reaches w_a, b_a and v_a. The cost grows with the batch's
+vocabulary, not with its B x T slots.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import EncodedDocument
 from .linalg import EmbeddingTable
@@ -33,7 +40,14 @@ class ModelError(Exception):
 
 
 class DivergenceError(ModelError):
-    """Raised when the loss becomes non-finite."""
+    """Raised when the loss becomes non-finite.
+
+    When training diverges after a finished epoch, `best` holds the best
+    checkpoint so far and `records` the finished epochs; otherwise None and ().
+    """
+
+    best = None
+    records = ()
 
 
 @dataclass
@@ -108,38 +122,56 @@ def init_params(config, seed: int | None = None) -> ModelParams:
 
 
 def _pool(
-    x: np.ndarray, mask: np.ndarray, params: ModelParams, pooling: str, temperature: float
+    rows: np.ndarray,
+    inv: np.ndarray,
+    mask: np.ndarray,
+    params: ModelParams,
+    pooling: str,
+    temperature: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Weighted sum of a (B, T, k) batch under either pooling mode.
+    """Weighted sum of a (B, T) batch of slots under either pooling mode.
 
-    Returns (pooled, alphas, g). alphas is (B, T) with exact zeros at
-    padding: a temperature softmax of the additive scores
-    v_a . tanh(w_a x_t + b_a) for attention, 1/m per real token for mean.
-    g = tanh(w_a x + b_a) is kept for the backward pass (None for mean).
+    Slot (b, t) holds row inv[b, t] of the (U, k) `rows`; batches pass one
+    row per distinct token. A score depends on the row alone, so the
+    attention network runs once per row: g = tanh(w_a x + b_a) is (U, d_a)
+    and the slots index its scores v_a . g. Returns (pooled, alphas, g).
+    alphas is (B, T) with exact zeros at padding: a temperature softmax of
+    the scores for attention, 1/m per real token for mean. g is kept for the
+    backward pass (None for mean). Both modes share the final weighted sum,
+    which reads the real slots only.
     """
     if pooling not in POOLING_MODES:
         raise ModelError(f"unknown pooling mode {pooling!r}")
-    if not mask.any(axis=-1).all():
+    counts = mask.sum(axis=-1)
+    if not counts.all():
         raise ModelError("cannot pool a fully masked sequence")
     if pooling == "attention":
-        u = np.einsum("btk,ak->bta", x, params.w_a) + params.b_a
-        g = np.tanh(u)
-        e = np.where(mask, g @ params.v_a, -np.inf)
+        g = np.tanh(rows @ params.w_a.T + params.b_a)
+        e = np.where(mask, (g @ params.v_a)[inv], -np.inf)
         peak = e.max(axis=-1, keepdims=True)
         w = np.exp((e - peak) / temperature)  # exp(-inf) is an exact 0 at padding
         alphas = w / w.sum(axis=-1, keepdims=True)
     else:
         g = None
-        alphas = mask.astype(np.float64) / mask.sum(axis=-1, keepdims=True)
-    return np.einsum("bt,btk->bk", alphas, x), alphas, g
+        alphas = mask / counts[:, None]
+    # Row b of this (B, U) matrix holds alphas[b] at the columns inv[b], real slots only.
+    weights = sp.csr_matrix(
+        (alphas[mask], inv[mask], np.concatenate(([0], np.cumsum(counts)))),
+        shape=(mask.shape[0], rows.shape[0]),
+    )
+    return weights @ rows, alphas, g
 
 
 def pool_sequence(
     x: np.ndarray, mask: np.ndarray, params: ModelParams, pooling: str, *, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool one (T, k) sequence. Returns (pooled, alphas), the weights used."""
+    """Pool one (T, k) sequence. Returns (pooled, alphas), the weights used.
+
+    Each row of x counts as its own token, even where two rows are equal.
+    """
+    x = np.asarray(x, dtype=np.float64)
     pooled, alphas, _ = _pool(
-        np.asarray(x, dtype=np.float64)[None], np.asarray(mask, bool)[None],
+        x, np.arange(x.shape[0])[None], np.asarray(mask, bool)[None],
         params, pooling, temperature,
     )
     return pooled[0], alphas[0]
@@ -212,7 +244,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _stack_batch(batch: list[EncodedDocument]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gather_batch(
+    batch: list[EncodedDocument], embeddings: EmbeddingTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, inv, mask, labels) of a batch: the embedding rows of the
+    distinct ids of its real slots, ascending, and each slot's index into
+    them. Padding slots point at row 0; their weight is always zero."""
     if not batch:
         raise ModelError("batch is empty")
     lengths = {doc.ids.shape[0] for doc in batch}
@@ -221,7 +258,10 @@ def _stack_batch(batch: list[EncodedDocument]) -> tuple[np.ndarray, np.ndarray, 
     ids = np.stack([doc.ids for doc in batch])
     mask = np.stack([doc.mask for doc in batch])
     labels = np.array([doc.label for doc in batch], dtype=np.int64)
-    return ids, mask, labels
+    present = np.zeros(embeddings.size, dtype=bool)
+    present[ids[mask]] = True
+    inv = np.where(mask, np.cumsum(present)[ids] - 1, 0)
+    return embeddings.gather(np.flatnonzero(present)), inv, mask, labels
 
 
 def _l2_tensors(params: ModelParams, pooling: str) -> dict[str, np.ndarray]:
@@ -246,8 +286,8 @@ def predict_logits(
     temperature: float,
 ) -> np.ndarray:
     """Eval-mode logits for a batch; no dropout noise."""
-    ids, mask, _ = _stack_batch(batch)
-    pooled, _, _ = _pool(embeddings.gather(ids), mask, params, pooling, temperature)
+    rows, inv, mask, _ = _gather_batch(batch, embeddings)
+    pooled, _, _ = _pool(rows, inv, mask, params, pooling, temperature)
     logits, _ = _head_forward(pooled, params, 0.0, None)
     return logits
 
@@ -269,10 +309,9 @@ def loss_and_grad(
     weight-matrix entries. Embeddings are fixed inputs and receive no
     gradient.
     """
-    ids, mask, labels = _stack_batch(batch)
+    rows, inv, mask, labels = _gather_batch(batch, embeddings)
     n = len(batch)
-    x = embeddings.gather(ids)
-    pooled, alphas, g = _pool(x, mask, params, pooling, temperature)
+    pooled, alphas, g = _pool(rows, inv, mask, params, pooling, temperature)
 
     logits, cache = _head_forward(pooled, params, dropout_p, noise)
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -296,14 +335,12 @@ def loss_and_grad(
     if g is None:
         attn_grads = {name: np.zeros_like(getattr(params, name)) for name in ("w_a", "b_a", "v_a")}
     else:
-        dalpha = np.einsum("bk,btk->bt", ds, x)
+        dalpha = np.take_along_axis(ds @ rows.T, inv, axis=1)
         de = (alphas / temperature) * (dalpha - (alphas * dalpha).sum(axis=-1, keepdims=True))
-        du = (de[..., None] * params.v_a) * (1.0 - g * g)
-        attn_grads = {
-            "w_a": np.einsum("bta,btk->ak", du, x),
-            "b_a": du.sum(axis=(0, 1)),
-            "v_a": np.einsum("bt,bta->a", de, g),
-        }
+        # Each row's score feeds every slot holding it: sum the slot gradients per row.
+        c = np.bincount(inv.ravel(), weights=de.ravel(), minlength=rows.shape[0])
+        du = (c[:, None] * params.v_a) * (1.0 - g * g)
+        attn_grads = {"w_a": du.T @ rows, "b_a": du.sum(axis=0), "v_a": c @ g}
     grads = ModelParams(**attn_grads, **head_grads)
 
     for name, w in decay_tensors.items():

@@ -15,6 +15,7 @@ from .model import (
     DivergenceError,
     ModelParams,
     POOLING_MODES,
+    _head_forward,
     _softmax_rows,
     adam_step,
     init_params,
@@ -153,7 +154,8 @@ def fit(
     Keeps the parameters of the best validation epoch; stops after
     `patience` consecutive epochs without improvement. When a test set is
     given its accuracy is recorded per epoch for convergence reporting but
-    never used for model selection.
+    never used for model selection. A DivergenceError carries the best
+    checkpoint and the records of the epochs finished before it.
     """
     if not train_set or not val_set:
         raise TrainError("train and validation sets must be non-empty")
@@ -181,9 +183,9 @@ def fit(
                     temperature=config.temperature, dropout_p=config.dropout_p,
                 )
             except DivergenceError as exc:
-                raise DivergenceError(
-                    f"{exc} (epoch {epoch}, batch {batch_idx})"
-                ) from exc
+                error = DivergenceError(f"{exc} (epoch {epoch}, batch {batch_idx})")
+                error.best, error.records = best, records
+                raise error from exc
             adam_step(params, grads, adam, config.learning_rate)
             loss_sum += loss * len(batch)
             acc_sum += acc * len(batch)
@@ -240,14 +242,11 @@ def inspect_attention(
     if checkpoint.config.pooling != "attention":
         raise TrainError("attention inspection requires an attention-pooling checkpoint")
     doc = encode(RawDocument(text=text, label=0), vocab, checkpoint.config.seq_len)
-    temperature = checkpoint.config.temperature
-    _, alphas = pool_sequence(
+    pooled, alphas = pool_sequence(
         embeddings.gather(doc.ids), doc.mask, checkpoint.params, "attention",
-        temperature=temperature,
+        temperature=checkpoint.config.temperature,
     )
-    logits = predict_logits(
-        [doc], embeddings, checkpoint.params, "attention", temperature=temperature
-    )[0]
+    logits = _head_forward(pooled[None], checkpoint.params, 0.0, None)[0][0]
     probs = _softmax_rows(logits[None])[0]
     pairs = [
         (vocab.tokens[int(doc.ids[t])], float(alphas[t]))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import halattn.train
 from synthetic import make_desk_corpus, split_desk_corpus, write_labeled_dir
+from test_train import diverge_in_epoch_two
 from halattn import store
 from halattn.cli import main
 from halattn.linalg import EmbeddingTable
@@ -253,3 +255,15 @@ class TestDivergenceExit:
                 "--out", str(tmp_path / "m.ckpt"),
             ])
         assert code == 3
+
+    def test_divergence_keeps_best_checkpoint_and_metrics(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(halattn.train, "loss_and_grad", diverge_in_epoch_two())
+        out, metrics = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        code = main([
+            "train", "--data", str(workspace / "data" / "train"),
+            "--embeddings", str(workspace / "emb.bin"), "--config", str(workspace / "desk.cfg"),
+            "--out", str(out), "--metrics", str(metrics),
+        ])
+        assert code == 3
+        assert store.load_checkpoint(out).best_epoch == 1
+        assert [r.epoch for r in store.load_metrics(metrics)] == [1]

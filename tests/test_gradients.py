@@ -18,12 +18,12 @@ class ToyCfg:
     seed = 0
 
 
-def toy_batch(rng, n_docs=3):
+def toy_batch(rng, n_docs=3, vocab=VOCAB):
     docs = []
     for _ in range(n_docs):
         m = int(rng.integers(1, SEQ_LEN + 1))
         ids = np.zeros(SEQ_LEN, dtype=np.int32)
-        ids[:m] = rng.integers(0, VOCAB, m)
+        ids[:m] = rng.integers(0, vocab, m)
         docs.append(
             EncodedDocument(
                 ids=ids,
@@ -50,11 +50,12 @@ def relative_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-5)
 
 
-def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77):
+def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77, vocab=VOCAB,
+                       dropout_p=0.6):
     """Largest relative disagreement between analytic and central differences."""
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(vectors=rng.standard_normal((VOCAB, EMBED_DIM)).astype(np.float32))
-    batch = toy_batch(rng)
+    table = EmbeddingTable(vectors=rng.standard_normal((vocab, EMBED_DIM)).astype(np.float32))
+    batch = toy_batch(rng, vocab=vocab)
     params = toy_params(rng, seed + 1000)
 
     def loss_at():
@@ -62,7 +63,7 @@ def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77):
         # the loss is a deterministic function of the parameters
         return loss_and_grad(
             batch, table, params, pooling, weight_decay, np.random.default_rng(noise_seed),
-            temperature=2.0, dropout_p=0.6,
+            temperature=2.0, dropout_p=dropout_p,
         )
 
     _, grads, _ = loss_at()
@@ -87,6 +88,15 @@ def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77):
 def test_gradients_match_finite_differences(pooling):
     for seed in range(5):
         assert max_gradient_error(seed, pooling) < TOLERANCE
+
+
+@pytest.mark.parametrize("dropout_p", [0.6, 0.0])
+@pytest.mark.parametrize("pooling", ["attention", "mean"])
+def test_gradients_with_two_token_vocabulary(pooling, dropout_p):
+    # every slot holds id 0 or 1, so each attention row gathers the
+    # gradients of many slots
+    for seed in range(3):
+        assert max_gradient_error(seed, pooling, vocab=2, dropout_p=dropout_p) < TOLERANCE
 
 
 def test_gradients_with_zero_weight_decay():

@@ -10,7 +10,11 @@ from halattn.model import (
     DivergenceError,
     ModelError,
     ModelParams,
+    _gather_batch,
+    _head_backward,
     _head_forward,
+    _l2_tensors,
+    _pool,
     adam_step,
     init_params,
     loss_and_grad,
@@ -457,6 +461,132 @@ class TestLossAndGrad:
             for pooling in ("attention", "mean")
         )
         assert np.array_equal(attn_logits, mean_logits)
+
+
+def reference_pool(x, mask, params, pooling, temperature):
+    """Per-slot pooling of a (B, T, k) batch: every slot is scored on its own."""
+    if pooling == "attention":
+        g = np.tanh(np.einsum("btk,ak->bta", x, params.w_a) + params.b_a)
+        e = np.where(mask, g @ params.v_a, -np.inf)
+        w = np.exp((e - e.max(axis=-1, keepdims=True)) / temperature)
+        alphas = w / w.sum(axis=-1, keepdims=True)
+    else:
+        g = None
+        alphas = mask / mask.sum(axis=-1, keepdims=True)
+    return np.einsum("bt,btk->bk", alphas, x), alphas, g
+
+
+def reference_loss_and_grad(batch, table, params, pooling, weight_decay, noise,
+                            temperature, dropout_p):
+    """Per-slot forward and backward: the oracle for distinct-token scoring."""
+    x = table.gather(np.stack([d.ids for d in batch]))
+    mask = np.stack([d.mask for d in batch])
+    labels = np.array([d.label for d in batch])
+    n = len(batch)
+    pooled, alphas, g = reference_pool(x, mask, params, pooling, temperature)
+    logits, cache = _head_forward(pooled, params, dropout_p, noise)
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    decay = _l2_tensors(params, pooling)
+    loss = -np.log(probs[np.arange(n), labels]).mean() + weight_decay * sum(
+        float((w * w).sum()) for w in decay.values()
+    )
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    grads, ds = _head_backward(dlogits / n, params, dropout_p, cache)
+    if g is None:
+        grads.update(w_a=np.zeros_like(params.w_a), b_a=np.zeros_like(params.b_a),
+                     v_a=np.zeros_like(params.v_a))
+    else:
+        dalpha = np.einsum("bk,btk->bt", ds, x)
+        de = (alphas / temperature) * (dalpha - (alphas * dalpha).sum(axis=-1, keepdims=True))
+        du = (de[..., None] * params.v_a) * (1.0 - g * g)
+        grads.update(w_a=np.einsum("bta,btk->ak", du, x), b_a=du.sum(axis=(0, 1)),
+                     v_a=np.einsum("bt,bta->a", de, g))
+    for name, w in decay.items():
+        grads[name] = grads[name] + 2.0 * weight_decay * w
+    return loss, grads
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Equal up to rel times the largest magnitude of `expected`."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestDistinctTokenScoring:
+    def _setup(self, rng):
+        # ids 0-3 of 6, so some table rows go unused; id 0 is both a real
+        # token and the padding id; one document has no padding
+        table = EmbeddingTable(vectors=rng.standard_normal((6, 4)).astype(np.float32))
+        batch = [
+            make_doc([0, 1, 0, 0, 2], 8, label=1),
+            make_doc([3, 3, 3], 8),
+            make_doc([1, 0, 1, 0, 1, 0, 1, 0], 8, label=1),
+            make_doc([2], 8),
+            make_doc([0, 0, 3, 1, 3, 0], 8),
+        ]
+        params = random_attention(rng)
+        params.w_c = rng.standard_normal((5, 4))
+        params.b_c = 0.1 * rng.standard_normal(5)
+        params.ln_gain = 1.0 + 0.1 * rng.standard_normal(5)
+        params.ln_shift = 0.1 * rng.standard_normal(5)
+        params.w_o = rng.standard_normal((2, 5))
+        return batch, table, params
+
+    @pytest.mark.parametrize("pooling", ["attention", "mean"])
+    def test_matches_per_slot_reference(self, rng, pooling):
+        batch, table, params = self._setup(rng)
+        loss, grads, _ = loss_and_grad(
+            batch, table, params, pooling, 1e-3, np.random.default_rng(5),
+            temperature=2.0, dropout_p=0.5,
+        )
+        ref_loss, ref_grads = reference_loss_and_grad(
+            batch, table, params, pooling, 1e-3, np.random.default_rng(5), 2.0, 0.5
+        )
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, grad in grads.tensors().items():
+            if pooling == "mean" and name in ("w_a", "b_a", "v_a"):
+                assert np.all(grad == 0.0) and np.all(ref_grads[name] == 0.0), name
+            else:
+                assert_close(grad, ref_grads[name])
+        x = table.gather(np.stack([d.ids for d in batch]))
+        mask = np.stack([d.mask for d in batch])
+        ref_logits, _ = _head_forward(
+            reference_pool(x, mask, params, pooling, 2.0)[0], params, 0.0, None
+        )
+        assert_close(predict_logits(batch, table, params, pooling, temperature=2.0), ref_logits)
+
+    @pytest.mark.parametrize("pooling", ["attention", "mean"])
+    def test_padding_row_never_read(self, rng, pooling):
+        # id 0 pads every document here and is no real token: its row may
+        # hold anything, even NaN, without changing a loss, gradient or logit
+        batch = [make_doc([1, 2, 1], 5), make_doc([3, 1], 5, label=1)]
+        _, table, params = self._setup(rng)
+        runs = []
+        for row in (np.zeros(4), np.full(4, np.nan)):
+            table.vectors[0] = row
+            loss, grads, _ = loss_and_grad(batch, table, params, pooling, 1e-3, None,
+                                           **NO_DROPOUT)
+            logits = predict_logits(batch, table, params, pooling, temperature=2.0)
+            runs.append((loss, grads, logits))
+        (loss_a, grads_a, logits_a), (loss_b, grads_b, logits_b) = runs
+        assert loss_a == loss_b and np.array_equal(logits_a, logits_b)
+        for name, grad in grads_a.tensors().items():
+            assert np.array_equal(grad, grads_b.tensors()[name]), name
+
+    def test_one_token_one_score(self, rng):
+        # Two documents hold tokens 3 and 5 in swapped order, and a third
+        # repeats them. A sum of two weights does not depend on their order,
+        # so equal scores give bitwise-equal weights across documents.
+        table = EmbeddingTable(vectors=rng.standard_normal((7, 4)).astype(np.float32))
+        batch = [make_doc([3, 5], 6), make_doc([5, 3], 6), make_doc([0, 3, 5, 3, 0, 5], 6)]
+        rows, inv, mask, _ = _gather_batch(batch, table)
+        assert rows.shape[0] == 3  # ids 0, 3 and 5
+        _, alphas, _ = _pool(rows, inv, mask, random_attention(rng), "attention", 2.0)
+        assert alphas[0, 0] == alphas[1, 1] and alphas[0, 1] == alphas[1, 0]
+        assert alphas[2, 1] == alphas[2, 3] and alphas[2, 2] == alphas[2, 5]
+        assert alphas[2, 0] == alphas[2, 4]
 
 
 class TestAdam:

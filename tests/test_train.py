@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import halattn.train
 from synthetic import make_cluster_dataset
 from halattn.corpus import EncodedDocument, Vocabulary
 from halattn.linalg import EmbeddingTable
@@ -22,6 +25,25 @@ def tiny_doc(label, ids, seq_len=4):
     return EncodedDocument(
         ids=arr, mask=np.arange(seq_len) < len(ids), label=label, real_length=len(ids)
     )
+
+
+def diverge_in_epoch_two():
+    """A loss_and_grad that raises DivergenceError from the second epoch on.
+
+    `fit` draws each epoch's dropout noise from a fresh generator, so a new
+    generator marks a new epoch.
+    """
+    real = halattn.train.loss_and_grad
+    seen = []
+
+    def wrapped(batch, embeddings, params, pooling, weight_decay, noise, **hyper):
+        if not seen:
+            seen.append(noise)
+        if noise is not seen[0]:
+            raise DivergenceError("loss is non-finite")
+        return real(batch, embeddings, params, pooling, weight_decay, noise, **hyper)
+
+    return wrapped
 
 
 def cluster_config(**overrides):
@@ -135,6 +157,19 @@ class TestFit:
         train, val = split(docs, cfg.val_fraction, cfg.seed)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 1"):
             fit(train, val, table, cfg)
+
+    def test_divergence_carries_best_checkpoint(self, monkeypatch):
+        docs, table = make_cluster_dataset(seed=3)
+        cfg = cluster_config(pooling="attention", max_epochs=3, patience=3)
+        train, val = split(docs, cfg.val_fraction, cfg.seed)
+        one_epoch, _ = fit(train, val, table, replace(cfg, max_epochs=1))
+        monkeypatch.setattr(halattn.train, "loss_and_grad", diverge_in_epoch_two())
+        with pytest.raises(DivergenceError, match="epoch 2, batch 0") as caught:
+            fit(train, val, table, cfg)
+        best, records = caught.value.best, caught.value.records
+        assert best.best_epoch == 1 and [r.epoch for r in records] == [1]
+        for name, arr in one_epoch.params.tensors().items():
+            assert np.array_equal(best.params.tensors()[name], arr), name
 
     def test_pooling_variants_share_initialization_and_split(self):
         cfg_mean = cluster_config(pooling="mean")
