@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Minimal <...> spans, e.g. HTML tags like <br />.
 _TAG_RE = re.compile(r"<[^>]*>")
+# The ASCII characters `_TOKEN_RE` does not match, each mapped to a space.
+_ASCII_SEP = {c: " " for c in range(128) if not chr(c).isalnum()}
 
 
 class CorpusError(Exception):
@@ -92,8 +96,18 @@ class EncodedDocument:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, drop <...> tag spans, split on non-alphanumeric runs."""
-    text = _TAG_RE.sub(" ", text.lower())
+    """Lowercase, drop <...> tag spans, split on non-alphanumeric runs.
+
+    The result is `_TOKEN_RE.findall(_TAG_RE.sub(" ", text.lower()))`: the
+    maximal runs of `str.isalnum()` characters. Lowercased ASCII text takes
+    an exact shortcut, every non-alphanumeric character to a space and then
+    `str.split()`, which leaves only runs of [a-z0-9].
+    """
+    text = text.lower()
+    if "<" in text:
+        text = _TAG_RE.sub(" ", text)
+    if text.isascii():
+        return text.translate(_ASCII_SEP).split()
     return _TOKEN_RE.findall(text)
 
 
@@ -103,9 +117,7 @@ def build_vocab(docs: list[RawDocument], cap: int) -> Vocabulary:
         raise CorpusError("cannot build a vocabulary from an empty document list")
     if cap < 1:
         raise CorpusError(f"vocabulary cap must be >= 1, got {cap}")
-    counts = Counter()
-    for doc in docs:
-        counts.update(tokenize(doc.text))
+    counts = Counter(chain.from_iterable(tokenize(doc.text) for doc in docs))
     if not counts:
         raise CorpusError("corpus tokenization produced zero tokens")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -118,8 +130,7 @@ def encode(doc: RawDocument, vocab: Vocabulary, seq_len: int) -> EncodedDocument
         raise CorpusError("cannot encode with an empty vocabulary")
     if seq_len < 1:
         raise CorpusError(f"sequence length must be >= 1, got {seq_len}")
-    index = vocab.index
-    kept = [index[tok] for tok in tokenize(doc.text) if tok in index]
+    kept = [i for i in map(vocab.index.get, tokenize(doc.text)) if i is not None]
     if not kept:
         raise CorpusError("document has no in-vocabulary tokens")
     kept = kept[:seq_len]
@@ -162,9 +173,10 @@ def load_labeled_dir(path: str | Path) -> list[RawDocument]:
         subdir = root / sub
         if not subdir.is_dir():
             raise CorpusError(f"missing '{sub}' subdirectory under {root}")
-        for file in sorted(p for p in subdir.iterdir() if p.is_file()):
+        for file in sorted(e.path for e in os.scandir(subdir) if e.is_file()):
             try:
-                text = file.read_text(encoding="utf-8")
+                with open(file, encoding="utf-8") as f:
+                    text = f.read()
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"cannot decode {file} as UTF-8: {exc}") from exc
             if not text.strip():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,15 @@ from halattn.corpus import (
     load_labeled_dir,
     tokenize,
 )
+
+# Test-only reference for `tokenize`: the regex definition it must match on
+# every input, whichever path it takes.
+TOKEN_RE = re.compile(r"[^\W_]+")
+TAG_RE = re.compile(r"<[^>]*>")
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    return TOKEN_RE.findall(TAG_RE.sub(" ", text.lower()))
 
 
 class TestTokenize:
@@ -41,6 +52,30 @@ class TestTokenize:
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
+
+    def test_golden_review(self):
+        text = "I'd rate it 10/10.<br /><br />\r\nThe CAFÉ scene: naïve, 2nd-best!"
+        expected = ["i", "d", "rate", "it", "10", "10",
+                    "the", "café", "scene", "naïve", "2nd", "best"]
+        assert tokenize(text) == expected
+        assert tokenize_oracle(text) == expected
+
+    @given(st.text(max_size=300))
+    def test_matches_oracle_on_unicode(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    @given(st.text(st.characters(max_codepoint=127), max_size=300))
+    def test_matches_oracle_on_ascii(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    # Tags and `_` on both paths; the Kelvin sign lowercases to ASCII 'k',
+    # dotted capital I to 'i' plus a combining dot; '²' and '٣' are digits
+    # that are not ASCII.
+    EDGE = "aZ9 <>_\x1c\x1f\tK\u212a\u0130\u00e9\u00b2\u0663\u00df"
+
+    @given(st.text(st.sampled_from(EDGE), max_size=100))
+    def test_matches_oracle_on_edge_characters(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
 
 
 class TestBuildVocab:
@@ -175,6 +210,41 @@ class TestLoadLabeledDir:
         (tmp_path / "pos").mkdir()
         with pytest.raises(CorpusError, match="neg"):
             load_labeled_dir(tmp_path)
+
+    def _layout(self, tmp_path):
+        for sub in ("pos", "neg"):
+            (tmp_path / sub).mkdir()
+        return tmp_path / "pos"
+
+    def test_subdirectory_skipped(self, tmp_path):
+        pos = self._layout(tmp_path)
+        (pos / "nested").mkdir()
+        (pos / "nested" / "inner.txt").write_text("hidden", encoding="utf-8")
+        (pos / "a.txt").write_text("shown", encoding="utf-8")
+        assert [d.text for d in load_labeled_dir(tmp_path)] == ["shown"]
+
+    def test_symlink_to_file_read(self, tmp_path):
+        pos = self._layout(tmp_path)
+        target = tmp_path / "outside.txt"
+        target.write_text("linked text", encoding="utf-8")
+        try:
+            (pos / "link.txt").symlink_to(target)
+        except OSError:
+            pytest.skip("cannot create symlinks here")
+        assert [d.text for d in load_labeled_dir(tmp_path)] == ["linked text"]
+
+    def test_crlf_read_as_lf(self, tmp_path):
+        pos = self._layout(tmp_path)
+        (pos / "a.txt").write_bytes(b"line one\r\nline two\r\n")
+        assert load_labeled_dir(tmp_path)[0].text == "line one\nline two\n"
+
+    def test_mixed_names_in_sorted_order(self, tmp_path):
+        pos = self._layout(tmp_path)
+        names = ["10_7.txt", "1_3.txt", "B.txt", "a.txt", "2_10.txt", "A2.txt", "_z.txt"]
+        for name in names:
+            (pos / name).write_text(f"doc {name}", encoding="utf-8")
+        texts = [d.text for d in load_labeled_dir(tmp_path)]
+        assert texts == [f"doc {name}" for name in sorted(names)]
 
     def test_undecodable_file_names_file(self, tmp_path):
         (tmp_path / "pos").mkdir()
