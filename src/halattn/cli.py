@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import typing
 from pathlib import Path
 
 from . import store
@@ -18,34 +17,14 @@ from .cooc import CoocError, build_cooc, concat_pair
 from .corpus import CorpusError, build_vocab, encode_corpus, load_labeled_dir
 from .linalg import ConvergenceError, LinalgError, embed, truncated_svd
 from .model import DivergenceError, ModelError
-from .train import TrainConfig, TrainError, evaluate, fit, inspect_attention, split
+from .train import TrainConfig, TrainError, evaluate, fit, inspect_attention, parse_config, split
 
 _CLASS_NAMES = {0: "negative", 1: "positive"}
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat `key = value` file mirroring TrainConfig field names."""
-    hints = typing.get_type_hints(TrainConfig)
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise TrainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in hints:
-            raise TrainError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = hints[key]
-        try:
-            values[key] = value if kind is str else kind(value)
-        except ValueError:
-            raise TrainError(f"{path}:{lineno}: cannot parse {value!r} as {kind.__name__}") from None
-    return values
-
-
 def _build_config(args) -> TrainConfig:
-    values = _parse_config_file(args.config) if args.config else {}
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    values = parse_config(text, args.config)
     overrides = {
         "pooling": getattr(args, "pooling", None),
         "seed": getattr(args, "seed", None),
@@ -122,10 +101,6 @@ def _save_training(ckpt, records, args) -> None:
 def _cmd_train(args) -> int:
     table, vocab = store.load_embeddings(args.embeddings)
     config = _build_config(args)
-    if config.embed_dim != table.dim:
-        raise TrainError(
-            f"config embed_dim {config.embed_dim} does not match embedding file dim {table.dim}"
-        )
     encoded = _load_split_dir(args.data, config.seq_len, vocab)
     test_set = (
         _load_split_dir(args.test_data, config.seq_len, vocab) if args.test_data else None
@@ -174,10 +149,6 @@ def _cmd_attend(args) -> int:
 def _cmd_compare(args) -> int:
     table, vocab = store.load_embeddings(args.embeddings)
     config = _build_config(args)
-    if config.embed_dim != table.dim:
-        raise TrainError(
-            f"config embed_dim {config.embed_dim} does not match embedding file dim {table.dim}"
-        )
     root = Path(args.data)
     if not (root / "train").is_dir() or not (root / "test").is_dir():
         raise CorpusError(f"{root} must contain train/ and test/ subdirectories")

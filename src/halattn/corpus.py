@@ -120,8 +120,8 @@ def build_vocab(docs: list[RawDocument], cap: int) -> Vocabulary:
     counts = Counter(chain.from_iterable(tokenize(doc.text) for doc in docs))
     if not counts:
         raise CorpusError("corpus tokenization produced zero tokens")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary.from_tokens([tok for tok, _ in ranked[:cap]])
+    # a stable sort by descending count keeps the lexicographic order of ties
+    return Vocabulary.from_tokens(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:cap])
 
 
 def encode(doc: RawDocument, vocab: Vocabulary, seq_len: int) -> EncodedDocument:

@@ -1,15 +1,18 @@
 """Versioned on-disk formats with integrity validation.
 
 Binary artifacts share an envelope of 8-byte magic, u64 version, and a u64
-payload checksum (truncated SHA-256). Each format has its own version. Text
-artifacts (vocabulary, metrics) carry the checksum on a trailing `#crc64`
-line instead so their body stays line-oriented. Writers go through a
-unique temporary file, fsync and an atomic rename.
+payload checksum (truncated SHA-256) around a u64 record count and named,
+typed records (name, dtype code, shape, little-endian data), which each
+loader checks against its format's layout. Each format has its own version.
+Text artifacts (vocabulary, metrics) carry the checksum on a trailing
+`#crc64` line instead so their body stays line-oriented. Writers go through
+a unique temporary file, fsync and an atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -23,17 +26,17 @@ from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
 from .linalg import EmbeddingTable
 from .model import ModelParams
-from .train import Checkpoint, EpochRecord, TrainConfig
+from .train import Checkpoint, EpochRecord, TrainConfig, TrainError, config_text, parse_config
 
 MAGIC_VOCAB = b"HALVOCAB"
 MAGIC_COOC = b"HALCOO  "
 MAGIC_EMB = b"HALEMB  "
 MAGIC_CKPT = b"HALCKPT "
-VERSIONS = {MAGIC_VOCAB: 1, MAGIC_COOC: 2, MAGIC_EMB: 1, MAGIC_CKPT: 2}
+VERSIONS = {MAGIC_VOCAB: 1, MAGIC_COOC: 3, MAGIC_EMB: 2, MAGIC_CKPT: 3}
 
 _CRC_PREFIX = b"#crc64 "
-_DTYPE_CODES = {0: np.float64, 1: np.float32}
-_DTYPE_OF = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
+_DTYPE_CODES = {0: np.float64, 1: np.float32, 2: np.int64, 3: np.uint8}
+_DTYPE_OF = {np.dtype(dtype): code for code, dtype in _DTYPE_CODES.items()}
 
 
 class StoreError(Exception):
@@ -64,8 +67,11 @@ class FormatError(StoreError):
     pass
 
 
-def _checksum(payload: bytes) -> int:
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+def _checksum(*parts) -> int:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return int.from_bytes(digest.digest()[:8], "little")
 
 
 def _write_atomic(path: str | Path, data: bytes):
@@ -96,12 +102,12 @@ def _write_atomic(path: str | Path, data: bytes):
 class _Reader:
     """Bounds-checked cursor over a byte buffer."""
 
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: memoryview, path):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedFileError(self.path, "unexpected end of file")
         out = self.data[self.pos : self.pos + n]
@@ -110,29 +116,6 @@ class _Reader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
-
-    def rest(self) -> bytes:
-        out = self.data[self.pos :]
-        self.pos = len(self.data)
-        return out
-
-    def expect_end(self):
-        if self.pos != len(self.data):
-            raise FormatError(self.path, f"{len(self.data) - self.pos} trailing bytes")
-
-
-def _envelope(magic: bytes, payload: bytes) -> bytes:
-    return magic + struct.pack("<QQ", VERSIONS[magic], _checksum(payload)) + payload
 
 
 def _open_envelope(data: bytes, magic: bytes, path) -> _Reader:
@@ -143,10 +126,64 @@ def _open_envelope(data: bytes, magic: bytes, path) -> _Reader:
     version, checksum = struct.unpack("<QQ", data[8:24])
     if version != VERSIONS[magic]:
         raise VersionError(path, f"unsupported version {version}")
-    payload = data[24:]
+    payload = memoryview(data)[24:]
     if _checksum(payload) != checksum:
         raise ChecksumMismatchError(path, "payload checksum mismatch")
     return _Reader(payload, path)
+
+
+def _tensor_from(reader: _Reader, path) -> tuple[str, np.ndarray]:
+    try:
+        name = str(reader.take(reader.u64()), "utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(path, "tensor name is not valid UTF-8") from None
+    code = reader.u64()
+    if code not in _DTYPE_CODES:
+        raise FormatError(path, f"unknown dtype code {code} for tensor {name!r}")
+    dtype = np.dtype(_DTYPE_CODES[code]).newbyteorder("<")
+    shape = tuple(reader.u64() for _ in range(reader.u64()))
+    raw = reader.take(math.prod(shape) * dtype.itemsize)
+    try:
+        return name, np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as exc:
+        raise FormatError(path, f"tensor {name!r} has unusable shape {shape}: {exc}") from None
+
+
+def _save_records(path: str | Path, magic: bytes, arrays: dict[str, np.ndarray]):
+    """Write the envelope around a record count and one record per array."""
+    parts = [struct.pack("<Q", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        parts += [struct.pack(f"<Q{len(encoded)}sQQ{arr.ndim}Q", len(encoded), encoded,
+                              _DTYPE_OF[arr.dtype], arr.ndim, *arr.shape),
+                  np.ascontiguousarray(arr)]
+    header = magic + struct.pack("<QQ", VERSIONS[magic], _checksum(*parts))
+    _write_atomic(path, b"".join([header, *parts]))
+
+
+def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.ndarray]:
+    """Records of a binary artifact, checked against `layout`: exactly its names,
+    each `name: (dtype, ndim)` with ndim None where any is accepted."""
+    reader = _open_envelope(_read(path), magic, path)
+    records = {}
+    for _ in range(reader.u64()):
+        name, arr = _tensor_from(reader, path)
+        if name in records:
+            raise FormatError(path, f"duplicate tensor {name!r}")
+        records[name] = arr.copy()
+    if reader.pos != len(reader.data):
+        raise FormatError(path, f"{len(reader.data) - reader.pos} trailing bytes")
+    for name, (dtype, ndim) in layout.items():
+        if name not in records:
+            raise FormatError(path, f"missing tensor {name!r}")
+        arr = records[name]
+        if arr.dtype != dtype or ndim not in (None, arr.ndim):
+            raise FormatError(path, f"tensor {name!r} is {arr.ndim}-d {arr.dtype}, expected "
+                                    f"{'' if ndim is None else f'{ndim}-d '}{np.dtype(dtype)}")
+    extra = sorted(set(records) - set(layout))
+    if extra:
+        raise FormatError(path, f"unexpected tensors {extra}")
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +258,32 @@ def _read(path: str | Path) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+_COOC_LAYOUT = {"window": (np.int64, 0), "indptr": (np.int64, 1), "indices": (np.int64, 1),
+                "data": (np.float64, 1), "vocab": (np.uint8, 1)}
+
+
 def save_cooc(pair: CoocPair, vocab: Vocabulary, path: str | Path):
-    """Write window, vocab size and left; right is left.T and is not stored."""
+    """Write window, left and its vocabulary; right is left.T and is not stored."""
     left = pair.left
-    payload = (
-        struct.pack("<QQQ", pair.window, pair.vocab_size, left.indices.size)
-        + left.indptr.astype("<i8").tobytes()
-        + left.indices.astype("<i8").tobytes()
-        + left.data.astype("<f8").tobytes()
-        + vocab_to_bytes(vocab)
-    )
-    _write_atomic(path, _envelope(MAGIC_COOC, payload))
+    _save_records(path, MAGIC_COOC, {
+        "window": np.array(pair.window, dtype=np.int64),
+        "indptr": left.indptr.astype(np.int64, copy=False),
+        "indices": left.indices.astype(np.int64, copy=False),
+        "data": left.data.astype(np.float64, copy=False),
+        "vocab": np.frombuffer(vocab_to_bytes(vocab), dtype=np.uint8),
+    })
 
 
 def load_cooc(path: str | Path) -> tuple[CoocPair, Vocabulary]:
-    reader = _open_envelope(_read(path), MAGIC_COOC, path)
-    window, vocab_size, nnz = reader.u64(), reader.u64(), reader.u64()
-    indptr = reader.array("<i8", vocab_size + 1)
-    indices = reader.array("<i8", nnz)
-    data = reader.array("<f8", nnz)
-    vocab = vocab_from_bytes(reader.rest(), path)
-    if indptr[-1] != nnz:
-        raise FormatError(path, f"row offsets end at {indptr[-1]}, expected {nnz} entries")
+    records = _load_records(path, MAGIC_COOC, _COOC_LAYOUT)
+    indptr, indices = records["indptr"], records["indices"]
+    if indptr.size == 0 or indptr[-1] != indices.size:
+        raise FormatError(path, f"row offsets {indptr[-1:]} do not end at {indices.size} entries")
+    vocab_size = indptr.size - 1
+    vocab = vocab_from_bytes(records["vocab"].tobytes(), path)
     try:
-        left = sp.csr_matrix((data, indices, indptr), shape=(vocab_size, vocab_size))
-        pair = CoocPair(left=left, window=window)
+        left = sp.csr_matrix((records["data"], indices, indptr), shape=(vocab_size, vocab_size))
+        pair = CoocPair(left=left, window=int(records["window"]))
         pair.validate()
     except (ValueError, CoocError) as exc:
         raise FormatError(path, f"invalid co-occurrence pair: {exc}") from None
@@ -255,8 +293,10 @@ def load_cooc(path: str | Path) -> tuple[CoocPair, Vocabulary]:
 
 
 # ---------------------------------------------------------------------------
-# Embeddings (binary, vocabulary appended for self-containment)
+# Embeddings (binary, vocabulary stored alongside for self-containment)
 # ---------------------------------------------------------------------------
+
+_EMB_LAYOUT = {"vectors": (np.float32, 2), "vocab": (np.uint8, 1)}
 
 
 def save_embeddings(table: EmbeddingTable, vocab: Vocabulary, path: str | Path):
@@ -264,117 +304,52 @@ def save_embeddings(table: EmbeddingTable, vocab: Vocabulary, path: str | Path):
         raise ValueError(
             f"embedding rows ({table.size}) and vocabulary size ({vocab.size}) differ"
         )
-    payload = (
-        struct.pack("<QQ", table.size, table.dim)
-        + table.vectors.astype("<f4").tobytes()
-        + vocab_to_bytes(vocab)
-    )
-    _write_atomic(path, _envelope(MAGIC_EMB, payload))
+    _save_records(path, MAGIC_EMB, {
+        "vectors": table.vectors.astype(np.float32, copy=False),
+        "vocab": np.frombuffer(vocab_to_bytes(vocab), dtype=np.uint8),
+    })
 
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingTable, Vocabulary]:
-    reader = _open_envelope(_read(path), MAGIC_EMB, path)
-    size = reader.u64()
-    dim = reader.u64()
-    vectors = reader.array("<f4", size * dim).reshape(size, dim)
-    vocab = vocab_from_bytes(reader.rest(), path)
-    if vocab.size != size:
+    records = _load_records(path, MAGIC_EMB, _EMB_LAYOUT)
+    vectors = records["vectors"]
+    vocab = vocab_from_bytes(records["vocab"].tobytes(), path)
+    if vocab.size != vectors.shape[0]:
         raise FormatError(path, "embedded vocabulary size disagrees with table rows")
     return EmbeddingTable(vectors=vectors), vocab
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint (binary)
+# Checkpoint (binary; the config is stored as its `key = value` text)
 # ---------------------------------------------------------------------------
 
-_POOLING_CODES = {"mean": 0, "attention": 1}
-_POOLING_NAMES = {code: name for name, code in _POOLING_CODES.items()}
-_INT_CONFIG_FIELDS = {
-    "window", "embed_dim", "seq_len", "vocab_cap", "attn_dim", "hidden",
-    "batch_size", "patience", "max_epochs", "seed",
-}
-
-
-def _config_bytes(config: TrainConfig) -> bytes:
-    parts = []
-    for f in fields(TrainConfig):
-        value = getattr(config, f.name)
-        if f.name == "pooling":
-            parts.append(struct.pack("<q", _POOLING_CODES[value]))
-        elif f.name in _INT_CONFIG_FIELDS:
-            parts.append(struct.pack("<q", value))
-        else:
-            parts.append(struct.pack("<d", value))
-    return b"".join(parts)
-
-
-def _config_from(reader: _Reader, path) -> TrainConfig:
-    kwargs = {}
-    for f in fields(TrainConfig):
-        if f.name == "pooling":
-            code = reader.i64()
-            if code not in _POOLING_NAMES:
-                raise FormatError(path, f"unknown pooling code {code}")
-            kwargs[f.name] = _POOLING_NAMES[code]
-        elif f.name in _INT_CONFIG_FIELDS:
-            kwargs[f.name] = reader.i64()
-        else:
-            kwargs[f.name] = reader.f64()
-    try:
-        return TrainConfig(**kwargs)
-    except Exception as exc:
-        raise FormatError(path, f"invalid config block: {exc}") from None
-
-
-def _tensor_bytes(name: str, arr: np.ndarray) -> bytes:
-    code = _DTYPE_OF[arr.dtype]
-    head = struct.pack("<Q", len(name)) + name.encode("utf-8")
-    head += struct.pack("<QQ", code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + np.ascontiguousarray(arr).tobytes()
-
-
-def _tensor_from(reader: _Reader, path) -> tuple[str, np.ndarray]:
-    name_len = reader.u64()
-    name = reader.take(name_len).decode("utf-8")
-    code = reader.u64()
-    if code not in _DTYPE_CODES:
-        raise FormatError(path, f"unknown dtype code {code} for tensor {name!r}")
-    ndim = reader.u64()
-    shape = tuple(reader.u64() for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    arr = reader.array(np.dtype(_DTYPE_CODES[code]).newbyteorder("<"), count).reshape(shape)
-    return name, arr
+_CKPT_LAYOUT = {"config": (np.uint8, 1), "best_epoch": (np.int64, 0),
+                "best_val_acc": (np.float64, 0),
+                **{f.name: (np.float64, None) for f in fields(ModelParams)}}
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path):
-    tensors = ckpt.params.tensors()
-    payload = (
-        _config_bytes(ckpt.config)
-        + struct.pack("<Qd", ckpt.best_epoch, ckpt.best_val_acc)
-        + struct.pack("<Q", len(tensors))
-        + b"".join(_tensor_bytes(name, arr) for name, arr in tensors.items())
-    )
-    _write_atomic(path, _envelope(MAGIC_CKPT, payload))
+    _save_records(path, MAGIC_CKPT, {
+        "config": np.frombuffer(config_text(ckpt.config).encode("utf-8"), dtype=np.uint8),
+        "best_epoch": np.array(ckpt.best_epoch, dtype=np.int64),
+        "best_val_acc": np.array(ckpt.best_val_acc, dtype=np.float64),
+        **ckpt.params.tensors(),
+    })
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    reader = _open_envelope(_read(path), MAGIC_CKPT, path)
-    config = _config_from(reader, path)
-    best_epoch = reader.u64()
-    best_val_acc = reader.f64()
-    n_tensors = reader.u64()
-    tensors = dict(_tensor_from(reader, path) for _ in range(n_tensors))
-    reader.expect_end()
-    names = [f.name for f in fields(ModelParams)]
-    for name in names:
-        if name not in tensors:
-            raise FormatError(path, f"missing tensor {name!r}")
-    extra = sorted(set(tensors) - set(names))
-    if extra:
-        raise FormatError(path, f"unexpected tensors {extra}")
-    return Checkpoint(config=config, params=ModelParams(**tensors), best_epoch=best_epoch,
-                      best_val_acc=best_val_acc)
+    records = _load_records(path, MAGIC_CKPT, _CKPT_LAYOUT)
+    try:
+        values = parse_config(records.pop("config").tobytes().decode("utf-8"), "config")
+        missing = [f.name for f in fields(TrainConfig) if f.name not in values]
+        if missing:
+            raise TrainError(f"missing fields {missing}")
+        config = TrainConfig(**values)
+    except (UnicodeDecodeError, TrainError) as exc:
+        raise FormatError(path, f"invalid config record: {exc}") from None
+    return Checkpoint(config=config, best_epoch=int(records.pop("best_epoch")),
+                      best_val_acc=float(records.pop("best_val_acc")),
+                      params=ModelParams(**records))
 
 
 # ---------------------------------------------------------------------------

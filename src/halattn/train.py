@@ -4,7 +4,8 @@ evaluation, and per-token attention inspection."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,6 +68,34 @@ class TrainConfig:
 
     def with_pooling(self, pooling: str) -> "TrainConfig":
         return replace(self, pooling=pooling)
+
+
+_CONFIG_TYPES = typing.get_type_hints(TrainConfig)
+
+
+def parse_config(text: str, source) -> dict:
+    """Values of a flat `key = value` text naming TrainConfig fields; `#` starts a comment."""
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise TrainError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_TYPES:
+            raise TrainError(f"{source}:{lineno}: unknown config key {key!r}")
+        kind = _CONFIG_TYPES[key]
+        try:
+            values[key] = value if kind is str else kind(value)
+        except ValueError:
+            raise TrainError(f"{source}:{lineno}: cannot parse {value!r} as {kind.__name__}") from None
+    return values
+
+
+def config_text(config: TrainConfig) -> str:
+    """One `name = value` line per field; parse_config reads it back exactly."""
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config))
 
 
 @dataclass

@@ -115,6 +115,32 @@ class TestDataErrors:
         assert "warp_factor" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_embed_dim_mismatch_exits_two(self, workspace, tmp_path, capsys, command):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text((workspace / "desk.cfg").read_text(encoding="utf-8")
+                       + "\nembed_dim = 32\n", encoding="utf-8")
+        args = {"train": ["--data", str(workspace / "data" / "train"),
+                          "--out", str(tmp_path / "m.ckpt")],
+                "compare": ["--data", str(workspace / "data")]}[command]
+        code = main([command, "--embeddings", str(workspace / "emb.bin"),
+                     "--config", str(cfg), *args])
+        assert code == 2
+        assert "embed_dim 32" in capsys.readouterr().err
+
+    def test_previous_format_version_exits_two(self, workspace, tmp_path, capsys):
+        data = bytearray((workspace / "emb.bin").read_bytes())
+        data[8:16] = (1).to_bytes(8, "little")  # HALEMB v1 laid out its own header
+        old = tmp_path / "old.bin"
+        old.write_bytes(bytes(data))
+        code = main([
+            "train", "--data", str(workspace / "data" / "train"),
+            "--embeddings", str(old), "--config", str(workspace / "desk.cfg"),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "unsupported version 1" in capsys.readouterr().err
+
 class TestPipelineArtifacts:
     def test_vocab_and_embeddings_consistent(self, workspace):
         vocab = store.load_vocab(workspace / "vocab.txt")

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestBuildVocab:
         second = build_vocab(docs, cap)
         assert first.tokens == second.tokens
         assert first.size <= cap
+
+
+    @given(
+        st.lists(st.text(alphabet="abcd é", max_size=40).filter(str.strip), min_size=1, max_size=10),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_ranking_matches_count_then_token_oracle(self, texts, cap):
+        counts = Counter(tok for t in texts for tok in tokenize(t))
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        docs = [RawDocument(t, 0) for t in texts]
+        assert build_vocab(docs, cap).tokens == [tok for tok, _ in ranked[:cap]]
 
 
 class TestEncode:

@@ -1,8 +1,12 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from synthetic import make_cluster_dataset
 from halattn import store
@@ -12,7 +16,7 @@ from halattn.linalg import EmbeddingTable
 from halattn.train import EpochRecord, TrainConfig, fit, split
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def vocab():
     return Vocabulary.from_tokens(["the", "movie", "was", "great", "awful"])
 
@@ -24,6 +28,10 @@ def table(rng, vocab):
 
 @pytest.fixture
 def pair(rng):
+    return _pair(rng)
+
+
+def _pair(rng):
     docs = []
     for _ in range(6):
         m = int(rng.integers(2, 9))
@@ -35,7 +43,7 @@ def pair(rng):
     return build_cooc(docs, 5, 3)
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def checkpoint():
     docs, emb = make_cluster_dataset(n_docs=60, seed=8)
     cfg = TrainConfig(
@@ -49,7 +57,7 @@ def checkpoint():
     return ckpt
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def records():
     return [
         EpochRecord(1, 0.6931471805599453, 0.5, 0.52, None, 1.25),
@@ -142,18 +150,57 @@ class TestCheckpointRoundTrip:
         ids=["missing", "unexpected"],
     )
     def test_tensor_set_must_match(self, checkpoint, tmp_path, edit, message):
-        tensors = checkpoint.params.tensors()
-        edit(tensors)
-        payload = (
-            store._config_bytes(checkpoint.config)
-            + struct.pack("<Qd", checkpoint.best_epoch, checkpoint.best_val_acc)
-            + struct.pack("<Q", len(tensors))
-            + b"".join(store._tensor_bytes(name, arr) for name, arr in tensors.items())
-        )
         path = tmp_path / "model.ckpt"
-        path.write_bytes(store._envelope(store.MAGIC_CKPT, payload))
+        records = _checkpoint_records(checkpoint, path)
+        edit(records)
+        store._save_records(path, store.MAGIC_CKPT, records)
         with pytest.raises(store.FormatError, match=message):
             store.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace("seed = 5\n", ""), r"missing fields \['seed'\]"),
+            (lambda text: text + "warp = 9\n", "unknown config key 'warp'"),
+            (lambda text: text.replace("hidden = 6", "hidden = six"), "cannot parse 'six' as int"),
+            (lambda text: text.replace("pooling = attention", "pooling = max"), "pooling must be"),
+        ],
+        ids=["missing-field", "unknown-field", "bad-value", "invalid-value"],
+    )
+    def test_config_text_must_be_complete_and_valid(self, checkpoint, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        records = _checkpoint_records(checkpoint, path)
+        text = edit(records["config"].tobytes().decode("utf-8"))
+        records["config"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        store._save_records(path, store.MAGIC_CKPT, records)
+        with pytest.raises(store.FormatError, match=message):
+            store.load_checkpoint(path)
+
+    def test_config_text_is_one_line_per_field(self, checkpoint, tmp_path):
+        path = tmp_path / "model.ckpt"
+        text = _checkpoint_records(checkpoint, path)["config"].tobytes().decode("utf-8")
+        assert text.splitlines()[:2] == ["window = 2", "embed_dim = 8"]
+        assert text.splitlines()[-1] == "pooling = attention"
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("best_epoch", np.array(3.0)), ("w_a", np.zeros((4, 8), dtype=np.float32)),
+         ("best_val_acc", np.array([0.5])), ("config", np.zeros(3, dtype=np.int64))],
+        ids=["float-epoch", "float32-tensor", "1d-scalar", "int64-text"],
+    )
+    def test_record_dtype_and_ndim_checked(self, checkpoint, tmp_path, name, value):
+        path = tmp_path / "model.ckpt"
+        records = _checkpoint_records(checkpoint, path)
+        records[name] = value
+        store._save_records(path, store.MAGIC_CKPT, records)
+        with pytest.raises(store.FormatError, match=f"tensor '{name}' is"):
+            store.load_checkpoint(path)
+
+
+def _checkpoint_records(checkpoint, path):
+    """The records save_checkpoint writes, read back through the generic loader."""
+    store.save_checkpoint(checkpoint, path)
+    return store._load_records(path, store.MAGIC_CKPT, store._CKPT_LAYOUT)
 
 
 class TestMetricsRoundTrip:
@@ -254,18 +301,25 @@ class TestCorruptionDetection:
         with pytest.raises(store.StoreError, match="vocab.txt"):
             store.load_vocab(path)
 
-    def test_version_one_files_rejected(self, tmp_path, vocab, pair, checkpoint):
-        # HALCOO v1 stored right beside left; HALCKPT v1 stored Adam moments.
-        cooc_path = tmp_path / "pair.cooc"
-        ckpt_path = tmp_path / "model.ckpt"
-        store.save_cooc(pair, vocab, cooc_path)
-        store.save_checkpoint(checkpoint, ckpt_path)
-        for path, loader in ((cooc_path, store.load_cooc), (ckpt_path, store.load_checkpoint)):
-            data = bytearray(path.read_bytes())
-            data[8:16] = struct.pack("<Q", 1)
-            path.write_bytes(bytes(data))
-            with pytest.raises(store.VersionError, match="version 1"):
-                loader(path)
+    def test_version_one_files_rejected(self, tmp_path, vocab, pair, table, checkpoint):
+        # HALCOO v1 stored right beside left; HALCKPT v1 stored Adam moments. HALCOO v2,
+        # HALEMB v1 and HALCKPT v2 laid out their own headers instead of named records.
+        cases = [
+            (tmp_path / "pair.cooc", store.load_cooc, (1, 2)),
+            (tmp_path / "emb.bin", store.load_embeddings, (1,)),
+            (tmp_path / "model.ckpt", store.load_checkpoint, (1, 2)),
+        ]
+        store.save_cooc(pair, vocab, cases[0][0])
+        store.save_embeddings(table, vocab, cases[1][0])
+        store.save_checkpoint(checkpoint, cases[2][0])
+        for path, loader, old_versions in cases:
+            original = path.read_bytes()
+            for version in old_versions:
+                data = bytearray(original)
+                data[8:16] = struct.pack("<Q", version)
+                path.write_bytes(bytes(data))
+                with pytest.raises(store.VersionError, match=f"version {version}"):
+                    loader(path)
 
 
 class TestCoocStructuralValidation:
@@ -350,3 +404,129 @@ class TestAtomicWrite:
         store.save_vocab(vocab, path)
         plain.write_bytes(b"")
         assert path.stat().st_mode == plain.stat().st_mode
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every loader either succeeds or raises a StoreError subclass
+# ---------------------------------------------------------------------------
+
+BINARY = {"cooc": store.MAGIC_COOC, "embeddings": store.MAGIC_EMB, "checkpoint": store.MAGIC_CKPT}
+LAYOUTS = {"cooc": store._COOC_LAYOUT, "embeddings": store._EMB_LAYOUT,
+           "checkpoint": store._CKPT_LAYOUT}
+KINDS = ["vocab", "cooc", "embeddings", "checkpoint", "metrics"]
+HUGE = [2**32, 2**62, 2**63, 2**64 - 1]
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory, vocab, checkpoint, records):
+    """Per artifact kind: its loader, the path fuzzed bytes go to, and a pristine file's bytes."""
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(vectors=rng.standard_normal((vocab.size, 4)).astype(np.float32))
+    root = tmp_path_factory.mktemp("fuzz")
+    files = _artifact_files(root, vocab, table, _pair(rng), checkpoint, records)
+    return {kind: (loader, path, path.read_bytes()) for kind, (path, loader) in files.items()}
+
+
+def _loads_or_store_error(pristine, kind, data: bytes):
+    loader, path, _ = pristine[kind]
+    path.write_bytes(data)
+    try:
+        loader(path)
+    except store.StoreError:
+        pass
+
+
+def _wrap(kind, payload: bytes) -> bytes:
+    magic = BINARY[kind]
+    return magic + struct.pack("<QQ", store.VERSIONS[magic], store._checksum(payload)) + payload
+
+
+def _record(name: bytes, code: int, shape, data: bytes = b"") -> bytes:
+    head = struct.pack(f"<Q{len(name)}sQQ{len(shape)}Q", len(name), name, code, len(shape), *shape)
+    return head + data
+
+
+@st.composite
+def _crafted_payloads(draw, kind):
+    """A record count and records with layout or arbitrary names, any dtype code and
+    shape; the data has the size the shape asks for when that is small."""
+    names = st.sampled_from([name.encode() for name in LAYOUTS[kind]] + [b"\xff\xfe"])
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        code = draw(st.integers(0, 4))
+        shape = draw(st.lists(st.integers(0, 4) | st.sampled_from(HUGE), max_size=3))
+        itemsize = np.dtype(store._DTYPE_CODES.get(code, np.uint8)).itemsize
+        size = math.prod(shape) * itemsize
+        data = draw(st.binary(min_size=size, max_size=size) if size <= 64 else st.binary(max_size=64))
+        parts.append(_record(draw(names | st.binary(max_size=6)), code, shape, data))
+    count = draw(st.just(len(parts)) | st.integers(0, 8) | st.sampled_from(HUGE))
+    return struct.pack("<Q", count) + b"".join(parts)
+
+
+class TestLoaderFuzzing:
+    @FUZZ
+    @given(kind=st.sampled_from(KINDS), head=st.booleans(), data=st.binary(max_size=512))
+    def test_arbitrary_bytes(self, pristine, kind, head, data):
+        prefix = pristine[kind][2][:24] if head else b""  # a valid magic and version
+        _loads_or_store_error(pristine, kind, prefix + data)
+
+    @FUZZ
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_bit_flips(self, pristine, kind, data):
+        original = bytearray(pristine[kind][2])
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(original) - 1), min_size=1, max_size=3)):
+            original[bit // 8] ^= 1 << (bit % 8)
+        _loads_or_store_error(pristine, kind, bytes(original))
+
+    @FUZZ
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_truncations(self, pristine, kind, data):
+        original = pristine[kind][2]
+        _loads_or_store_error(pristine, kind, original[: data.draw(st.integers(0, len(original)))])
+
+    @FUZZ
+    @given(kind=st.sampled_from(sorted(BINARY)), data=st.data())
+    def test_mutated_payload_in_valid_envelope(self, pristine, kind, data):
+        payload = bytearray(pristine[kind][2][24:])
+        for _ in range(data.draw(st.integers(1, 3))):
+            start = data.draw(st.integers(0, len(payload)))
+            stop = data.draw(st.integers(start, min(len(payload), start + 16)))
+            word = st.sampled_from(HUGE + [0, 1, 2, 65]).map(lambda v: struct.pack("<Q", v))
+            payload[start:stop] = data.draw(st.binary(max_size=16) | word)
+        _loads_or_store_error(pristine, kind, _wrap(kind, bytes(payload)))
+
+    @FUZZ
+    @given(kind=st.sampled_from(sorted(BINARY)), data=st.data())
+    def test_crafted_records_in_valid_envelope(self, pristine, kind, data):
+        _loads_or_store_error(pristine, kind, _wrap(kind, data.draw(_crafted_payloads(kind))))
+
+    @FUZZ
+    @given(
+        kind=st.sampled_from(sorted(BINARY)),
+        data=st.data(),
+        arr=hnp.arrays(
+            st.sampled_from([np.float64, np.float32, np.int64, np.uint8]),
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+        ),
+    )
+    def test_one_record_replaced(self, pristine, kind, data, arr):
+        """Valid records but one, which holds any small array of a stored dtype."""
+        _, path, original = pristine[kind]
+        path.write_bytes(original)
+        records = store._load_records(path, BINARY[kind], LAYOUTS[kind])
+        records[data.draw(st.sampled_from(sorted(records)))] = arr
+        store._save_records(path, BINARY[kind], records)
+        _loads_or_store_error(pristine, kind, path.read_bytes())
+
+    @pytest.mark.parametrize(
+        "record",
+        [_record(b"vectors", 1, (2**32, 2**32)), _record(b"\xff\xfe", 1, (1,), b"\0" * 4),
+         _record(b"vectors", 3, (0, 2**63)), _record(b"vectors", 3, (1,) * 65, b"\0")],
+        ids=["count-wraps-to-zero", "name-not-utf8", "zero-size-huge-side", "too-many-dims"],
+    )
+    def test_crafted_record_is_store_error(self, pristine, record):
+        _, path, _ = pristine["embeddings"]
+        path.write_bytes(_wrap("embeddings", struct.pack("<Q", 1) + record))
+        with pytest.raises(store.StoreError):
+            store.load_embeddings(path)

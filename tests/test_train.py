@@ -12,9 +12,11 @@ from halattn.train import (
     Checkpoint,
     TrainConfig,
     TrainError,
+    config_text,
     evaluate,
     fit,
     inspect_attention,
+    parse_config,
     split,
 )
 
@@ -79,6 +81,27 @@ class TestTrainConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(TrainError):
             TrainConfig(**kwargs)
+
+
+class TestConfigText:
+    @pytest.mark.parametrize("cfg", [TrainConfig(), cluster_config(learning_rate=0.1 + 0.2)])
+    def test_round_trip_is_exact(self, cfg):
+        assert TrainConfig(**parse_config(config_text(cfg), "cfg")) == cfg
+
+    def test_comments_and_blank_lines_ignored(self):
+        text = "# header\n\nseed = 4  # trailing\npooling = mean\n"
+        assert parse_config(text, "cfg") == {"seed": 4, "pooling": "mean"}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("seed 4", r"cfg:1: expected 'key = value'"),
+         ("\nwarp = 9", r"cfg:2: unknown config key 'warp'"),
+         ("seed = 4.5", r"cfg:1: cannot parse '4.5' as int")],
+        ids=["no-equals", "unknown-key", "bad-int"],
+    )
+    def test_errors_name_source_and_line(self, text, message):
+        with pytest.raises(TrainError, match=message):
+            parse_config(text, "cfg")
 
 
 class TestSplit:
@@ -201,6 +224,34 @@ class TestFit:
         train, val = split(docs, cfg.val_fraction, cfg.seed)
         with pytest.raises(TrainError):
             fit(train, val, table, cfg)
+
+    @pytest.mark.parametrize("pooling", ["mean", "attention"])
+    def test_sign_flip_of_one_dimension_is_exact(self, pooling, monkeypatch):
+        """Negating embedding column j and the matching columns of w_a and w_c at
+        init trains to the same model with those columns negated, bit for bit."""
+        docs, table = make_cluster_dataset(seed=7)
+        cfg = cluster_config(pooling=pooling, dropout_p=0.6, max_epochs=4, patience=4)
+        train, val = split(docs, cfg.val_fraction, cfg.seed)
+        base, base_records = fit(train, val, table, cfg)
+
+        j = 2
+        flipped = table.vectors.copy()
+        flipped[:, j] *= -1
+        real_init = halattn.train.init_params
+
+        def flipped_init(config):
+            params = real_init(config)
+            params.w_a[:, j] *= -1
+            params.w_c[:, j] *= -1
+            return params
+
+        monkeypatch.setattr(halattn.train, "init_params", flipped_init)
+        ckpt, records = fit(train, val, EmbeddingTable(vectors=flipped), cfg)
+        ckpt.params.w_a[:, j] *= -1
+        ckpt.params.w_c[:, j] *= -1
+        for name, arr in base.params.tensors().items():
+            assert np.array_equal(ckpt.params.tensors()[name], arr), name
+        assert [r.train_loss for r in records] == [r.train_loss for r in base_records]
 
 
 def constant_checkpoint(b_o=(0.0, 0.0), seq_len=4, embed_dim=3, pooling="mean"):
