@@ -3,6 +3,7 @@
 from .cooc import CoocPair, build_cooc, concat_pair, hal_weight
 from .corpus import (
     EncodedDocument,
+    EncodedSet,
     RawDocument,
     Vocabulary,
     build_vocab,

@@ -23,18 +23,14 @@ _CLASS_NAMES = {0: "negative", 1: "positive"}
 
 
 def _build_config(args) -> TrainConfig:
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except UnicodeDecodeError as exc:
+        raise TrainError(f"cannot decode config file {args.config} as UTF-8: {exc}") from None
     values = parse_config(text, args.config)
-    overrides = {
-        "pooling": getattr(args, "pooling", None),
-        "seed": getattr(args, "seed", None),
-        "max_epochs": getattr(args, "max_epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "learning_rate", None),
-        "patience": getattr(args, "patience", None),
-        "temperature": getattr(args, "temperature", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    flags = ("pooling", "seed", "max_epochs", "batch_size", "learning_rate", "patience",
+             "temperature")
+    values.update({k: getattr(args, k) for k in flags if getattr(args, k, None) is not None})
     return TrainConfig(**values)
 
 
@@ -101,11 +97,11 @@ def _save_training(ckpt, records, args) -> None:
 def _cmd_train(args) -> int:
     table, vocab = store.load_embeddings(args.embeddings)
     config = _build_config(args)
-    encoded = _load_split_dir(args.data, config.seq_len, vocab)
+    train_set, val_set = split(_load_split_dir(args.data, config.seq_len, vocab),
+                               config.val_fraction, config.seed)
     test_set = (
         _load_split_dir(args.test_data, config.seq_len, vocab) if args.test_data else None
     )
-    train_set, val_set = split(encoded, config.val_fraction, config.seed)
     try:
         ckpt, records = fit(train_set, val_set, table, config, test_set=test_set,
                             log=_epoch_logger)
@@ -152,9 +148,9 @@ def _cmd_compare(args) -> int:
     root = Path(args.data)
     if not (root / "train").is_dir() or not (root / "test").is_dir():
         raise CorpusError(f"{root} must contain train/ and test/ subdirectories")
-    encoded = _load_split_dir(root / "train", config.seq_len, vocab)
+    train_set, val_set = split(_load_split_dir(root / "train", config.seq_len, vocab),
+                               config.val_fraction, config.seed)
     test_set = _load_split_dir(root / "test", config.seq_len, vocab)
-    train_set, val_set = split(encoded, config.val_fraction, config.seed)
 
     rows = []
     for pooling in ("mean", "attention"):

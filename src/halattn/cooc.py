@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import EncodedDocument
+from .corpus import EncodedSet
 
 
 class CoocError(Exception):
@@ -81,27 +81,24 @@ def _merge_distance_counts(
     return sp.csr_matrix((totals, unique_keys % vocab_size, offsets), shape=(vocab_size, vocab_size))
 
 
-def build_cooc(corpus: list[EncodedDocument], vocab_size: int, window: int) -> CoocPair:
+def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     """Accumulate directional co-occurrence counts over encoded documents.
 
     Windows never cross document boundaries and padded positions contribute
     nothing. Pair counts are gathered per distance as exact integers, so the
     result is bitwise independent of document order.
     """
-    if not corpus:
+    if not len(corpus):
         raise CoocError("corpus is empty")
     if window < 1:
         raise CoocError(f"window must be >= 1, got {window}")
-    streams = []
-    for i, doc in enumerate(corpus):
-        ids = doc.ids[: doc.real_length].astype(np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-            raise CoocError(f"document {i} contains an id outside [0, {vocab_size})")
-        streams.append(ids)
-    flat = np.concatenate(streams)
-    lengths = np.array([s.size for s in streams], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    start_of = np.repeat(starts, lengths)
+    mask = corpus.mask
+    bad = np.flatnonzero((mask & ((corpus.ids < 0) | (corpus.ids >= vocab_size))).any(axis=1))
+    if bad.size:
+        raise CoocError(f"document {bad[0]} contains an id outside [0, {vocab_size})")
+    flat = corpus.ids[mask].astype(np.int64)  # each document's real ids, one after another
+    starts = np.concatenate(([0], np.cumsum(corpus.lengths)[:-1]))
+    start_of = np.repeat(starts, corpus.lengths)
     positions = np.arange(flat.size, dtype=np.int64)
 
     V = vocab_size

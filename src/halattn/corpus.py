@@ -64,35 +64,44 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass
 class EncodedDocument:
-    """Fixed-length id sequence with a left-aligned validity mask."""
+    """One row of an EncodedSet: real_length ids, then padding id 0."""
 
-    ids: np.ndarray  # (T,) int32, padded with 0
-    mask: np.ndarray  # (T,) bool, True at real tokens
+    ids: np.ndarray  # (T,) int32
     label: int
     real_length: int
 
-    def validate(self, vocab_size: int | None = None):
-        T = self.ids.shape[0]
-        if self.mask.shape[0] != T:
-            raise CorpusError("ids and mask lengths differ")
-        if not (1 <= self.real_length <= T):
-            raise CorpusError(f"real_length {self.real_length} outside [1, {T}]")
-        expected = np.arange(T) < self.real_length
-        if not np.array_equal(self.mask, expected):
-            raise CorpusError("mask is not left-aligned with real_length")
-        if vocab_size is not None:
-            real = self.ids[: self.real_length]
-            if real.min(initial=0) < 0 or real.max(initial=-1) >= vocab_size:
-                raise CorpusError("encoded id out of vocabulary range")
+    @property
+    def mask(self) -> np.ndarray:
+        return np.arange(self.ids.shape[0]) < self.real_length
+
+
+@dataclass
+class EncodedSet:
+    """Encoded documents as arrays: row i holds lengths[i] real ids, then
+    padding id 0. An int index gives one row as an EncodedDocument, as
+    iteration does; a slice or an index array gives a subset."""
+
+    ids: np.ndarray  # (N, T) int32
+    lengths: np.ndarray  # (N,) int64, each in [1, T]
+    labels: np.ndarray  # (N,) int64
+
+    @property
+    def mask(self) -> np.ndarray:  # (N, T) bool, True at real tokens
+        return np.arange(self.ids.shape[1]) < self.lengths[:, None]
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return EncodedDocument(self.ids[i], int(self.labels[i]), int(self.lengths[i]))
+        return EncodedSet(self.ids[i], self.lengths[i], self.labels[i])
+
+    def __iter__(self):
+        return map(EncodedDocument, self.ids, self.labels.tolist(), self.lengths.tolist())
 
 
 def tokenize(text: str) -> list[str]:
@@ -126,39 +135,35 @@ def build_vocab(docs: list[RawDocument], cap: int) -> Vocabulary:
 
 def encode(doc: RawDocument, vocab: Vocabulary, seq_len: int) -> EncodedDocument:
     """Encode to exactly `seq_len` slots: drop OOV tokens, truncate, right-pad with id 0."""
-    if vocab.size == 0:
-        raise CorpusError("cannot encode with an empty vocabulary")
-    if seq_len < 1:
-        raise CorpusError(f"sequence length must be >= 1, got {seq_len}")
-    kept = [i for i in map(vocab.index.get, tokenize(doc.text)) if i is not None]
-    if not kept:
-        raise CorpusError("document has no in-vocabulary tokens")
-    kept = kept[:seq_len]
-    ids = np.zeros(seq_len, dtype=np.int32)
-    ids[: len(kept)] = kept
-    mask = np.zeros(seq_len, dtype=bool)
-    mask[: len(kept)] = True
-    return EncodedDocument(ids=ids, mask=mask, label=doc.label, real_length=len(kept))
+    return encode_corpus([doc], vocab, seq_len)[0][0]
 
 
 def encode_corpus(
     docs: list[RawDocument], vocab: Vocabulary, seq_len: int, skip_empty: bool = False
-) -> tuple[list[EncodedDocument], int]:
-    """Encode a document list. Returns (encoded, skipped_count).
+) -> tuple[EncodedSet, int]:
+    """Encode a document list as one EncodedSet. Returns (encoded, skipped_count).
 
-    With skip_empty, documents with no in-vocabulary tokens are dropped
-    instead of raising.
+    Without skip_empty, a document with no in-vocabulary tokens raises;
+    with it, such documents are dropped.
     """
-    encoded = []
-    skipped = 0
+    if vocab.size == 0:
+        raise CorpusError("cannot encode with an empty vocabulary")
+    if seq_len < 1:
+        raise CorpusError(f"sequence length must be >= 1, got {seq_len}")
+    lookup = vocab.index.get
+    ids = np.zeros((len(docs), seq_len), dtype=np.int32)
+    lengths, labels = [], []
     for doc in docs:
-        try:
-            encoded.append(encode(doc, vocab, seq_len))
-        except CorpusError:
-            if not skip_empty:
-                raise
-            skipped += 1
-    return encoded, skipped
+        kept = [i for i in map(lookup, tokenize(doc.text)) if i is not None][:seq_len]
+        if kept:
+            ids[len(lengths), : len(kept)] = kept
+            lengths.append(len(kept))
+            labels.append(doc.label)
+        elif not skip_empty:
+            raise CorpusError("document has no in-vocabulary tokens")
+    n = len(lengths)
+    return EncodedSet(ids[:n], np.array(lengths, dtype=np.int64),
+                      np.array(labels, dtype=np.int64)), len(docs) - n
 
 
 def load_labeled_dir(path: str | Path) -> list[RawDocument]:

@@ -2,12 +2,12 @@
 backward pass, Adam updates, and the parameter record.
 
 Word embeddings are fixed inputs; gradients flow only into the nine tensors
-of `ModelParams`, the record that also holds their gradients and Adam's two
-moments. Temperature and dropout are hyperparameters passed in from the
-training config, not stored with the tensors. Both pooling modes go through
-`_pool`: mean pooling is the uniform-weight case of the same weighted sum as
-attention pooling, so the two are bitwise identical when all attention
-scores coincide (v_a = 0).
+of `ModelParams`, views into one flat buffer that Adam updates in one pass.
+Temperature and dropout come from the training config. Both pooling modes go
+through `_pool`: mean pooling is the uniform-weight case of the same weighted
+sum as attention pooling, so the two are bitwise identical when all attention
+scores coincide (v_a = 0). A mean-pooled row depends on its own document
+alone, so rows pooled once per set may be passed in (`pooled=`).
 
 An attention score depends on the token id alone, so a batch is pooled from
 the embedding rows of its distinct ids: the scoring network runs once per
@@ -19,12 +19,12 @@ vocabulary, not with its B x T slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import EncodedDocument
+from .corpus import EncodedSet
 from .linalg import EmbeddingTable
 
 LN_EPS = 1e-5
@@ -54,7 +54,9 @@ class DivergenceError(ModelError):
 class ModelParams:
     """The nine trainable tensors, in checkpoint order.
 
-    The same record holds their gradients and Adam's two moments.
+    The same record holds their gradients and Adam's two moments. The
+    tensors are float64 views into one contiguous buffer, `flat`, so Adam
+    updates all nine in one pass; assigning a tensor repacks the buffer.
     """
 
     w_a: np.ndarray  # (d_a, k)
@@ -66,6 +68,19 @@ class ModelParams:
     ln_shift: np.ndarray  # (h,)
     w_o: np.ndarray  # (2, h)
     b_o: np.ndarray  # (2,)
+
+    def __post_init__(self):
+        tensors = self.tensors()
+        flat = np.concatenate([np.ravel(a) for a in tensors.values()], dtype=np.float64)
+        parts = np.split(flat, np.cumsum([np.size(a) for a in tensors.values()])[:-1])
+        for (name, a), part in zip(tensors.items(), parts):
+            object.__setattr__(self, name, part.reshape(np.shape(a)))
+        object.__setattr__(self, "flat", flat)
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name != "flat" and "flat" in self.__dict__:  # a tensor was replaced: repack
+            self.__post_init__()
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Tensors keyed by name, in checkpoint order."""
@@ -85,6 +100,13 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         return cls(m=params.map(np.zeros_like), v=params.map(np.zeros_like))
+
+
+def param_shapes(config) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape, from the config's embed_dim, attn_dim and hidden."""
+    k, d_a, h = config.embed_dim, config.attn_dim, config.hidden
+    return {"w_a": (d_a, k), "b_a": (d_a,), "v_a": (d_a,), "w_c": (h, k), "b_c": (h,),
+            "ln_gain": (h,), "ln_shift": (h,), "w_o": (2, h), "b_o": (2,)}
 
 
 def init_params(config, seed: int | None = None) -> ModelParams:
@@ -238,26 +260,15 @@ def _head_backward(
     return grads, ds
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _gather_batch(
-    batch: list[EncodedDocument], embeddings: EmbeddingTable
+    batch: EncodedSet, embeddings: EmbeddingTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(rows, inv, mask, labels) of a batch: the embedding rows of the
     distinct ids of its real slots, ascending, and each slot's index into
     them. Padding slots point at row 0; their weight is always zero."""
-    if not batch:
+    if not len(batch):
         raise ModelError("batch is empty")
-    lengths = {doc.ids.shape[0] for doc in batch}
-    if len(lengths) != 1:
-        raise ModelError("all documents in a batch must share the same sequence length")
-    ids = np.stack([doc.ids for doc in batch])
-    mask = np.stack([doc.mask for doc in batch])
-    labels = np.array([doc.label for doc in batch], dtype=np.int64)
+    ids, mask, labels = batch.ids, batch.mask, batch.labels
     present = np.zeros(embeddings.size, dtype=bool)
     present[ids[mask]] = True
     inv = np.where(mask, np.cumsum(present)[ids] - 1, 0)
@@ -277,23 +288,25 @@ def _l2_tensors(params: ModelParams, pooling: str) -> dict[str, np.ndarray]:
     return tensors
 
 
-def predict_logits(
-    batch: list[EncodedDocument],
-    embeddings: EmbeddingTable,
-    params: ModelParams,
-    pooling: str,
-    *,
-    temperature: float,
-) -> np.ndarray:
-    """Eval-mode logits for a batch; no dropout noise."""
+def pool_batch(batch: EncodedSet, embeddings: EmbeddingTable, params: ModelParams,
+               pooling: str, *, temperature: float) -> np.ndarray:
+    """The (B, k) pooled rows of a batch. A row depends on its own document
+    alone, so a set pooled in any batches gives the same rows, bit for bit."""
     rows, inv, mask, _ = _gather_batch(batch, embeddings)
-    pooled, _, _ = _pool(rows, inv, mask, params, pooling, temperature)
-    logits, _ = _head_forward(pooled, params, 0.0, None)
-    return logits
+    return _pool(rows, inv, mask, params, pooling, temperature)[0]
+
+
+def predict_logits(batch: EncodedSet, embeddings: EmbeddingTable, params: ModelParams,
+                   pooling: str, *, temperature: float,
+                   pooled: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode logits for a batch; no dropout noise. `pooled` as in loss_and_grad."""
+    if pooled is None:
+        pooled = pool_batch(batch, embeddings, params, pooling, temperature=temperature)
+    return _head_forward(pooled, params, 0.0, None)[0]
 
 
 def loss_and_grad(
-    batch: list[EncodedDocument],
+    batch: EncodedSet,
     embeddings: EmbeddingTable,
     params: ModelParams,
     pooling: str,
@@ -302,16 +315,22 @@ def loss_and_grad(
     *,
     temperature: float,
     dropout_p: float,
+    pooled: np.ndarray | None = None,
 ) -> tuple[float, ModelParams, float]:
     """Training loss, gradients, and batch accuracy.
 
     Mean cross-entropy over the batch plus weight_decay * sum of squared
     weight-matrix entries. Embeddings are fixed inputs and receive no
-    gradient.
+    gradient. Mean-pooled rows computed once by pool_batch may be passed in.
     """
-    rows, inv, mask, labels = _gather_batch(batch, embeddings)
-    n = len(batch)
-    pooled, alphas, g = _pool(rows, inv, mask, params, pooling, temperature)
+    if pooled is None:
+        rows, inv, mask, labels = _gather_batch(batch, embeddings)
+        pooled, alphas, g = _pool(rows, inv, mask, params, pooling, temperature)
+    elif pooling == "mean":
+        labels, g = batch.labels, None
+    else:
+        raise ModelError("only mean-pooled rows can be passed in")
+    n = labels.shape[0]
 
     logits, cache = _head_forward(pooled, params, dropout_p, noise)
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -355,24 +374,17 @@ def adam_step(
     state: AdamState,
     learning_rate: float,
 ) -> ModelParams:
-    """In-place Adam update with bias-corrected moments."""
+    """In-place Adam update with bias-corrected moments, in one pass over the
+    flat buffers: Adam is elementwise, so the values equal per-tensor updates."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, param in params.tensors().items():
-        grad = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        param -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    grad, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params.flat -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return params
 
-
-def iter_batches(order: np.ndarray, batch_size: int) -> Iterator[np.ndarray]:
-    """Yield index slices of at most batch_size, preserving order."""
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start : start + batch_size]

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
 from .linalg import EmbeddingTable
-from .model import ModelParams
+from .model import ModelParams, param_shapes
 from .train import Checkpoint, EpochRecord, TrainConfig, TrainError, config_text, parse_config
 
 MAGIC_VOCAB = b"HALVOCAB"
@@ -347,6 +347,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = TrainConfig(**values)
     except (UnicodeDecodeError, TrainError) as exc:
         raise FormatError(path, f"invalid config record: {exc}") from None
+    for name, shape in param_shapes(config).items():
+        if records[name].shape != shape:
+            raise FormatError(path, f"tensor {name!r} has shape {records[name].shape}, not {shape}")
     return Checkpoint(config=config, best_epoch=int(records.pop("best_epoch")),
                       best_val_acc=float(records.pop("best_val_acc")),
                       params=ModelParams(**records))

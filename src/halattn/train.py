@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import EncodedDocument, RawDocument, Vocabulary, encode
+from .corpus import EncodedSet, RawDocument, Vocabulary, encode
 from .linalg import EmbeddingTable
 from .model import (
     AdamState,
@@ -17,14 +17,15 @@ from .model import (
     ModelParams,
     POOLING_MODES,
     _head_forward,
-    _softmax_rows,
     adam_step,
     init_params,
-    iter_batches,
     loss_and_grad,
+    pool_batch,
     pool_sequence,
     predict_logits,
 )
+
+EVAL_BATCH = 512
 
 
 class TrainError(Exception):
@@ -127,17 +128,14 @@ class AttentionReport:
     probs: np.ndarray  # (2,)
 
 
-def split(
-    corpus: list[EncodedDocument], val_fraction: float, seed: int
-) -> tuple[list[EncodedDocument], list[EncodedDocument]]:
+def split(corpus: EncodedSet, val_fraction: float, seed: int) -> tuple[EncodedSet, EncodedSet]:
     """Stratified shuffle split preserving class proportions."""
     if not 0.0 < val_fraction < 1.0:
         raise TrainError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
-    train_docs: list[EncodedDocument] = []
-    val_docs: list[EncodedDocument] = []
+    train_idx, val_idx = [], []
     for label in (0, 1):
-        indices = [i for i, doc in enumerate(corpus) if doc.label == label]
+        indices = np.flatnonzero(corpus.labels == label)
         if len(indices) < 2:
             raise TrainError(f"need at least 2 documents of class {label} to split")
         order = rng.permutation(len(indices))
@@ -146,36 +144,38 @@ def split(
             raise TrainError(
                 f"val_fraction {val_fraction} leaves an empty side for class {label}"
             )
-        shuffled = [corpus[indices[j]] for j in order]
-        val_docs.extend(shuffled[:n_val])
-        train_docs.extend(shuffled[n_val:])
-    return train_docs, val_docs
+        val_idx.append(indices[order[:n_val]])
+        train_idx.append(indices[order[n_val:]])
+    return corpus[np.concatenate(train_idx)], corpus[np.concatenate(val_idx)]
 
 
-def _accuracy(
-    docs: list[EncodedDocument],
-    embeddings: EmbeddingTable,
-    params: ModelParams,
-    config: TrainConfig,
-    eval_batch: int = 512,
-) -> float:
+def _accuracy(docs: EncodedSet, embeddings: EmbeddingTable, params: ModelParams,
+              config: TrainConfig, rows: np.ndarray | None = None) -> float:
+    """Eval-mode accuracy in EVAL_BATCH chunks; `rows` are the mean-pooled rows, if known."""
     correct = 0
-    for start in range(0, len(docs), eval_batch):
-        chunk = docs[start : start + eval_batch]
+    for start in range(0, len(docs), EVAL_BATCH):
+        chunk = slice(start, start + EVAL_BATCH)
         logits = predict_logits(
-            chunk, embeddings, params, config.pooling, temperature=config.temperature
+            docs[chunk], embeddings, params, config.pooling, temperature=config.temperature,
+            pooled=None if rows is None else rows[chunk],
         )
-        labels = np.array([d.label for d in chunk])
-        correct += int((logits.argmax(axis=-1) == labels).sum())
+        correct += int((logits.argmax(axis=-1) == docs.labels[chunk]).sum())
     return correct / len(docs)
 
 
+def _mean_pooled(docs: EncodedSet | None, embeddings: EmbeddingTable, params: ModelParams):
+    """A set's mean-pooled rows, pooled EVAL_BATCH documents at a time."""
+    return None if not docs else np.concatenate([
+        pool_batch(docs[start : start + EVAL_BATCH], embeddings, params, "mean", temperature=1.0)
+        for start in range(0, len(docs), EVAL_BATCH)])
+
+
 def fit(
-    train_set: list[EncodedDocument],
-    val_set: list[EncodedDocument],
+    train_set: EncodedSet,
+    val_set: EncodedSet,
     embeddings: EmbeddingTable,
     config: TrainConfig,
-    test_set: list[EncodedDocument] | None = None,
+    test_set: EncodedSet | None = None,
     log=None,
 ) -> tuple[Checkpoint, list[EpochRecord]]:
     """Train with per-epoch shuffling and validation-based early stopping.
@@ -185,8 +185,12 @@ def fit(
     given its accuracy is recorded per epoch for convergence reporting but
     never used for model selection. A DivergenceError carries the best
     checkpoint and the records of the epochs finished before it.
+
+    Mean pooling has no trainable parameter, so each set is pooled once and
+    every batch and evaluation chunk takes its rows from that, bit for bit
+    the rows of per-batch pooling. Attention pools each batch anew.
     """
-    if not train_set or not val_set:
+    if not len(train_set) or not len(val_set):
         raise TrainError("train and validation sets must be non-empty")
     if embeddings.dim != config.embed_dim:
         raise TrainError(
@@ -194,6 +198,11 @@ def fit(
         )
     params = init_params(config)
     adam = AdamState.for_params(params)
+    if config.pooling == "mean":  # no pooling parameter: pool each set once
+        train_rows, val_rows, test_rows = (
+            _mean_pooled(docs, embeddings, params) for docs in (train_set, val_set, test_set))
+    else:
+        train_rows = val_rows = test_rows = None
     records: list[EpochRecord] = []
     best: Checkpoint | None = None
     stale = 0
@@ -204,12 +213,13 @@ def fit(
         order = rng.permutation(n)
         loss_sum = 0.0
         acc_sum = 0.0
-        for batch_idx, batch_indices in enumerate(iter_batches(order, config.batch_size)):
-            batch = [train_set[i] for i in batch_indices]
+        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
+            batch = order[start : start + config.batch_size]
             try:
                 loss, grads, acc = loss_and_grad(
-                    batch, embeddings, params, config.pooling, config.weight_decay, rng,
+                    train_set[batch], embeddings, params, config.pooling, config.weight_decay, rng,
                     temperature=config.temperature, dropout_p=config.dropout_p,
+                    pooled=None if train_rows is None else train_rows[batch],
                 )
             except DivergenceError as exc:
                 error = DivergenceError(f"{exc} (epoch {epoch}, batch {batch_idx})")
@@ -218,8 +228,8 @@ def fit(
             adam_step(params, grads, adam, config.learning_rate)
             loss_sum += loss * len(batch)
             acc_sum += acc * len(batch)
-        val_acc = _accuracy(val_set, embeddings, params, config)
-        test_acc = _accuracy(test_set, embeddings, params, config) if test_set else None
+        val_acc = _accuracy(val_set, embeddings, params, config, val_rows)
+        test_acc = _accuracy(test_set, embeddings, params, config, test_rows) if test_set else None
         record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n,
@@ -247,16 +257,14 @@ def fit(
     return best, records
 
 
-def evaluate(
-    checkpoint: Checkpoint, dataset: list[EncodedDocument], embeddings: EmbeddingTable
-) -> float:
+def evaluate(checkpoint: Checkpoint, dataset: EncodedSet, embeddings: EmbeddingTable) -> float:
     """Eval-mode accuracy of a checkpoint over a dataset."""
     if embeddings.dim != checkpoint.config.embed_dim:
         raise TrainError(
             f"embedding dim {embeddings.dim} does not match checkpoint "
             f"embed_dim {checkpoint.config.embed_dim}"
         )
-    if not dataset:
+    if not len(dataset):
         raise TrainError("cannot evaluate an empty dataset")
     return _accuracy(dataset, embeddings, checkpoint.params, checkpoint.config)
 
@@ -276,9 +284,7 @@ def inspect_attention(
         temperature=checkpoint.config.temperature,
     )
     logits = _head_forward(pooled[None], checkpoint.params, 0.0, None)[0][0]
-    probs = _softmax_rows(logits[None])[0]
-    pairs = [
-        (vocab.tokens[int(doc.ids[t])], float(alphas[t]))
-        for t in range(doc.real_length)
-    ]
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
+    pairs = [(vocab.tokens[int(doc.ids[t])], float(alphas[t])) for t in range(doc.real_length)]
     return AttentionReport(tokens=pairs, predicted=int(np.argmax(logits)), probs=probs)

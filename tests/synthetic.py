@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from halattn.corpus import EncodedDocument, RawDocument
+from halattn.corpus import EncodedSet, RawDocument
 from halattn.linalg import EmbeddingTable
 from halattn.train import TrainConfig
 
@@ -103,7 +103,7 @@ def make_cluster_dataset(
     dim: int = 8,
     seq_len: int = 12,
     seed: int = 0,
-) -> tuple[list[EncodedDocument], EmbeddingTable]:
+) -> tuple[EncodedSet, EmbeddingTable]:
     """Linearly separable toy data: token vectors form two Gaussian clusters
     and each document samples ids from its class's half of the vocabulary."""
     rng = np.random.default_rng(seed)
@@ -113,18 +113,24 @@ def make_cluster_dataset(
     vectors = np.empty((vocab_size, dim), dtype=np.float32)
     vectors[:half] = mu0 + 0.3 * rng.standard_normal((half, dim))
     vectors[half:] = mu1 + 0.3 * rng.standard_normal((vocab_size - half, dim))
-    docs = []
+    id_lists = []
     for i in range(n_docs):
         label = i % 2
         m = int(rng.integers(3, seq_len + 1))
-        ids = np.zeros(seq_len, dtype=np.int32)
-        ids[:m] = rng.integers(0, half, m) + (half if label else 0)
-        docs.append(
-            EncodedDocument(
-                ids=ids, mask=np.arange(seq_len) < m, label=label, real_length=m
-            )
-        )
+        id_lists.append(rng.integers(0, half, m) + (half if label else 0))
+    docs = encoded_set(id_lists, [i % 2 for i in range(n_docs)], seq_len)
     return docs, EmbeddingTable(vectors=vectors)
+
+
+def encoded_set(id_lists, labels=0, seq_len=None) -> EncodedSet:
+    """Documents given by their real ids, right-padded with id 0 to seq_len
+    (default: the longest). `labels` is one label for all or one per document."""
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    ids = np.zeros((lengths.size, seq_len or int(lengths.max(initial=1))), dtype=np.int32)
+    for row, real in zip(ids, id_lists):
+        row[: len(real)] = real
+    labels = np.broadcast_to(np.asarray(labels, dtype=np.int64), lengths.shape).copy()
+    return EncodedSet(ids=ids, lengths=lengths, labels=labels)
 
 
 def write_labeled_dir(docs: list[RawDocument], root) -> None:

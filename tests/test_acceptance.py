@@ -13,13 +13,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import imdb_root, requires_imdb
-from synthetic import DESK_CONFIG, make_desk_corpus, split_desk_corpus
+from synthetic import DESK_CONFIG, encoded_set, make_desk_corpus, split_desk_corpus
 from test_gradients import max_gradient_error
 from test_model import params_with, scored_sequence
 
 from halattn import store
 from halattn.cooc import build_cooc, concat_pair
-from halattn.corpus import EncodedDocument, Vocabulary, build_vocab, encode_corpus, load_labeled_dir
+from halattn.corpus import Vocabulary, build_vocab, encode_corpus, load_labeled_dir
 from halattn.linalg import EmbeddingTable, embed, truncated_svd
 from halattn.model import pool_sequence
 from halattn.train import TrainConfig, evaluate, fit, inspect_attention, split
@@ -268,26 +268,16 @@ def test_criterion_6_svd_oracle():
 
 
 def _random_corpus(rng):
-    docs = []
+    id_lists, seq_len = [], 1
     for _ in range(int(rng.integers(1, 10))):
         m = int(rng.integers(1, 25))
-        seq_len = m + int(rng.integers(0, 4))
-        ids = np.zeros(seq_len, dtype=np.int32)
-        ids[:m] = rng.integers(0, 10, m)
-        docs.append(
-            EncodedDocument(ids=ids, mask=np.arange(seq_len) < m, label=0, real_length=m)
-        )
-    return docs
+        seq_len = max(seq_len, m + int(rng.integers(0, 4)))
+        id_lists.append(rng.integers(0, 10, m))
+    return encoded_set(id_lists, seq_len=seq_len)
 
 
 def test_criterion_7_hal_correctness():
-    doc = EncodedDocument(
-        ids=np.array([0, 1, 2], dtype=np.int32),
-        mask=np.ones(3, bool),
-        label=0,
-        real_length=3,
-    )
-    pair = build_cooc([doc], 3, 2)
+    pair = build_cooc(encoded_set([[0, 1, 2]]), 3, 2)
     expected_left = np.zeros((3, 3))
     expected_left[1, 0] = 1.0
     expected_left[2, 1] = 1.0
@@ -351,12 +341,7 @@ def test_criterion_10_persistence(tmp_path):
     rng = np.random.default_rng(3)
     vocab = Vocabulary.from_tokens(["alpha", "beta", "gamma", "delta"])
     table = EmbeddingTable(vectors=rng.standard_normal((4, 3)).astype(np.float32))
-    docs = []
-    for _ in range(5):
-        m = int(rng.integers(2, 7))
-        ids = np.zeros(8, dtype=np.int32)
-        ids[:m] = rng.integers(0, 4, m)
-        docs.append(EncodedDocument(ids=ids, mask=np.arange(8) < m, label=0, real_length=m))
+    docs = encoded_set([rng.integers(0, 4, rng.integers(2, 7)) for _ in range(5)], seq_len=8)
     pair = build_cooc(docs, 4, 3)
 
     cluster_docs, cluster_table = make_cluster_dataset(n_docs=40, seed=2)

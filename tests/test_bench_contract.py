@@ -59,6 +59,33 @@ def test_every_target_resolves(tracing):
     assert missing == []
 
 
+def test_facts_read_a_set_as_its_list_of_rows(tracing):
+    # `_facts` reads a batch or corpus as a sequence of rows; an EncodedSet
+    # must give the same counts as the list of its rows.
+    from synthetic import encoded_set
+    from halattn.cooc import build_cooc
+    from halattn.model import loss_and_grad, predict_logits
+
+    docs = encoded_set([[1, 2, 3], [4], [2, 2, 5, 6]], labels=[0, 1, 1], seq_len=6)
+    rows = [docs[i] for i in range(len(docs))]
+    calls = {
+        "model.loss_and_grad": (loss_and_grad, (None, None, "attention", 0.0, None),
+                                {"temperature": 2.0, "dropout_p": 0.0}, None),
+        "model.predict_logits": (predict_logits, (None, None, "mean"),
+                                 {"temperature": 2.0}, None),
+        "cooc.build_cooc": (build_cooc, (7, 2), {}, build_cooc(docs, 7, 2)),
+    }
+    for name, (fn, rest, kwargs, result) in calls.items():
+        facts = [tracing._facts(name, inspect.signature(fn).bind(batch, *rest, **kwargs), result)
+                 for batch in (docs, rows)]
+        assert facts[0] == facts[1], name
+    assert facts[0]["tokens"] == 8
+    batch_facts = tracing._facts(
+        "model.predict_logits",
+        inspect.signature(predict_logits).bind(docs, None, None, "mean", temperature=2.0), None)
+    assert batch_facts == {"pooling": "mean", "docs": 3, "slots": 18, "real": 8, "longest": 4}
+
+
 def test_every_argument_read_is_a_parameter(tracing):
     targets = _targets(tracing)
     read = _arguments_read(tracing)

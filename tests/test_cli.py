@@ -128,6 +128,18 @@ class TestDataErrors:
         assert code == 2
         assert "embed_dim 32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_non_utf8_config_exits_two(self, workspace, tmp_path, capsys, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        args = {"train": ["--data", str(workspace / "data" / "train"),
+                          "--out", str(tmp_path / "m.ckpt")],
+                "compare": ["--data", str(workspace / "data")]}[command]
+        code = main([command, "--embeddings", str(workspace / "emb.bin"),
+                     "--config", str(cfg), *args])
+        assert code == 2
+        assert f"cannot decode config file {cfg}" in capsys.readouterr().err
+
     def test_previous_format_version_exits_two(self, workspace, tmp_path, capsys):
         data = bytearray((workspace / "emb.bin").read_bytes())
         data[8:16] = (1).to_bytes(8, "little")  # HALEMB v1 laid out its own header
@@ -225,6 +237,18 @@ class TestTrainEvalAttend:
         assert tokens == ["the", "pos00", "was", "neg01"]
         weights = [float(line.split()[1]) for line in lines[1:-1]]
         assert abs(sum(weights) - 1.0) < 2e-4  # printed at 4 decimals
+
+    def test_eval_of_misshapen_checkpoint_exits_two(self, trained, workspace, tmp_path, capsys):
+        # checksum-valid, but w_a does not fit the config's attn_dim x embed_dim
+        records = store._load_records(trained / "attn.ckpt", store.MAGIC_CKPT,
+                                      store._CKPT_LAYOUT)
+        records["w_a"] = np.zeros((3, 5))
+        store._save_records(tmp_path / "bad.ckpt", store.MAGIC_CKPT, records)
+        code = main(["eval", "--ckpt", str(tmp_path / "bad.ckpt"),
+                     "--embeddings", str(workspace / "emb.bin"),
+                     "--data", str(workspace / "data" / "test")])
+        assert code == 2
+        assert "tensor 'w_a' has shape (3, 5), not (16, 24)" in capsys.readouterr().err
 
     def test_attend_no_invocab_tokens_exits_two(self, trained, workspace, capsys):
         code = main([

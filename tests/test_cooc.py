@@ -4,16 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halattn.cooc import CoocError, build_cooc, concat_pair, hal_weight
-from halattn.corpus import EncodedDocument
-
-
-def make_doc(ids, seq_len=None):
-    ids = list(ids)
-    seq_len = seq_len or len(ids)
-    arr = np.zeros(seq_len, dtype=np.int32)
-    arr[: len(ids)] = ids
-    mask = np.arange(seq_len) < len(ids)
-    return EncodedDocument(ids=arr, mask=mask, label=0, real_length=len(ids))
+from synthetic import encoded_set
 
 
 def brute_force_pair(docs, vocab_size, window):
@@ -51,7 +42,7 @@ class TestHalWeight:
 
 class TestBuildCooc:
     def test_abc_hand_enumeration(self):
-        pair = build_cooc([make_doc([0, 1, 2])], vocab_size=3, window=2)
+        pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
         left = pair.left.toarray()
         right = pair.right.toarray()
         expected_left = np.zeros((3, 3))
@@ -62,35 +53,35 @@ class TestBuildCooc:
         assert np.array_equal(right, expected_left.T)
 
     def test_repeated_token_self_cooccurrence(self):
-        pair = build_cooc([make_doc([0, 0])], vocab_size=1, window=1)
+        pair = build_cooc(encoded_set([[0, 0]]), vocab_size=1, window=1)
         assert pair.left.toarray()[0, 0] == 1.0
         assert pair.right.toarray()[0, 0] == 1.0
 
     def test_one_token_docs_give_empty_matrices(self):
-        pair = build_cooc([make_doc([0]), make_doc([1])], vocab_size=2, window=3)
+        pair = build_cooc(encoded_set([[0], [1]]), vocab_size=2, window=3)
         assert pair.left.nnz == 0
         assert pair.right.nnz == 0
 
     def test_windows_do_not_cross_documents(self):
-        joined = build_cooc([make_doc([0, 1, 0, 1])], 2, 3)
-        split_docs = build_cooc([make_doc([0, 1]), make_doc([0, 1])], 2, 3)
+        joined = build_cooc(encoded_set([[0, 1, 0, 1]]), 2, 3)
+        split_docs = build_cooc(encoded_set([[0, 1], [0, 1]]), 2, 3)
         assert joined.left.toarray().sum() > split_docs.left.toarray().sum()
         expected = np.zeros((2, 2))
         expected[1, 0] = 2.0  # one adjacent pair per document
         assert np.array_equal(split_docs.left.toarray(), expected)
 
     def test_padding_contributes_nothing(self):
-        padded = build_cooc([make_doc([1, 1], seq_len=6)], 2, 5)
-        tight = build_cooc([make_doc([1, 1])], 2, 5)
+        padded = build_cooc(encoded_set([[1, 1]], seq_len=6), 2, 5)
+        tight = build_cooc(encoded_set([[1, 1]]), 2, 5)
         assert np.array_equal(padded.left.toarray(), tight.left.toarray())
 
     def test_out_of_range_id_names_document(self):
         with pytest.raises(CoocError, match="document 1"):
-            build_cooc([make_doc([0]), make_doc([5])], vocab_size=2, window=2)
+            build_cooc(encoded_set([[0], [5]]), vocab_size=2, window=2)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CoocError):
-            build_cooc([], 2, 2)
+            build_cooc(encoded_set([]), 2, 2)
 
     @given(
         st.lists(
@@ -102,7 +93,7 @@ class TestBuildCooc:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, docs_ids, window):
-        docs = [make_doc(ids) for ids in docs_ids]
+        docs = encoded_set(docs_ids)
         pair = build_cooc(docs, vocab_size=6, window=window)
         left, right = brute_force_pair(docs, 6, window)
         np.testing.assert_allclose(pair.left.toarray(), left, rtol=0, atol=1e-12)
@@ -118,12 +109,12 @@ class TestBuildCooc:
     )
     @settings(max_examples=60, deadline=None)
     def test_transpose_duality_bitwise(self, docs_ids, window):
-        pair = build_cooc([make_doc(ids) for ids in docs_ids], 8, window)
+        pair = build_cooc(encoded_set(docs_ids), 8, window)
         assert np.array_equal(pair.right.toarray(), pair.left.toarray().T)
 
     def test_order_invariance_bitwise(self):
         rng = np.random.default_rng(3)
-        docs = [make_doc(rng.integers(0, 9, rng.integers(2, 20))) for _ in range(25)]
+        docs = encoded_set([rng.integers(0, 9, rng.integers(2, 20)) for _ in range(25)])
         forward = build_cooc(docs, 9, 4)
         backward = build_cooc(docs[::-1], 9, 4)
         for a, b in ((forward.left, backward.left), (forward.right, backward.right)):
@@ -135,7 +126,7 @@ class TestBuildCooc:
         rng = np.random.default_rng(5)
         window = 4
         lengths = [13] * 10  # fixed-length corpus for the closed form
-        docs = [make_doc(rng.integers(0, 6, n)) for n in lengths]
+        docs = encoded_set([rng.integers(0, 6, n) for n in lengths])
         pair = build_cooc(docs, 6, window)
         expected = sum(
             max(0, n - d) * (1.0 / d) for n in lengths for d in range(1, window + 1)
@@ -145,14 +136,14 @@ class TestBuildCooc:
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
-        docs = [make_doc(rng.integers(0, 12, rng.integers(2, 30))) for _ in range(20)]
+        docs = encoded_set([rng.integers(0, 12, rng.integers(2, 30)) for _ in range(20)])
         pair = build_cooc(docs, 12, 5)
         pair.validate()
 
 
 class TestConcatRow:
     def test_concat_pair_matches_rows(self):
-        pair = build_cooc([make_doc([0, 1, 2])], vocab_size=3, window=2)
+        pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
         matrix = concat_pair(pair)
         assert matrix.format == "csr" and matrix.has_canonical_format
         assert matrix.shape == (3, 6)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from halattn.corpus import EncodedDocument
 from halattn.linalg import EmbeddingTable
 from halattn.model import init_params, loss_and_grad
+from synthetic import encoded_set
 
 SEQ_LEN, EMBED_DIM, ATTN_DIM, HIDDEN = 6, 4, 3, 5
 VOCAB = 9
@@ -19,20 +19,12 @@ class ToyCfg:
 
 
 def toy_batch(rng, n_docs=3, vocab=VOCAB):
-    docs = []
+    id_lists, labels = [], []
     for _ in range(n_docs):
         m = int(rng.integers(1, SEQ_LEN + 1))
-        ids = np.zeros(SEQ_LEN, dtype=np.int32)
-        ids[:m] = rng.integers(0, vocab, m)
-        docs.append(
-            EncodedDocument(
-                ids=ids,
-                mask=np.arange(SEQ_LEN) < m,
-                label=int(rng.integers(0, 2)),
-                real_length=m,
-            )
-        )
-    return docs
+        id_lists.append(rng.integers(0, vocab, m))
+        labels.append(int(rng.integers(0, 2)))
+    return encoded_set(id_lists, labels, SEQ_LEN)
 
 
 def toy_params(rng, seed):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halattn.corpus import EncodedDocument
 from halattn.linalg import EmbeddingTable
 from halattn.model import (
     AdamState,
@@ -15,13 +14,18 @@ from halattn.model import (
     _head_forward,
     _l2_tensors,
     _pool,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     adam_step,
     init_params,
     loss_and_grad,
+    pool_batch,
     pool_sequence,
     predict_logits,
 )
 from halattn.train import TrainConfig, TrainError
+from synthetic import encoded_set
 
 
 class Cfg:
@@ -79,17 +83,6 @@ def weights_for(scores, mask, temperature, shift=0.0):
     return pool_sequence(x, mask, params, "attention", temperature=temperature)[1]
 
 
-def make_doc(ids, seq_len, label=0):
-    arr = np.zeros(seq_len, dtype=np.int32)
-    arr[: len(ids)] = ids
-    return EncodedDocument(
-        ids=arr,
-        mask=np.arange(seq_len) < len(ids),
-        label=label,
-        real_length=len(ids),
-    )
-
-
 def mean_pool(x, mask):
     return pool_sequence(x, mask, params_with(x.shape[1]), "mean", temperature=2.0)[0]
 
@@ -97,7 +90,7 @@ def mean_pool(x, mask):
 def one_token_batch(vector):
     """A one-document batch whose pooled vector is exactly `vector`."""
     table = EmbeddingTable(vectors=np.array([vector], dtype=np.float32))
-    return [make_doc([0], 2)], table
+    return encoded_set([[0]], seq_len=2), table
 
 
 def loop_scores(x, mask, params):
@@ -161,7 +154,7 @@ class TestAttentionWeights:
 
     def test_all_masked_rejected(self, rng):
         x, params = scored_sequence(np.zeros(3))
-        batch = [make_doc([1, 2], 3), make_doc([], 3)]  # the second is all padding
+        batch = encoded_set([[1, 2], []], seq_len=3)  # the second is all padding
         table = EmbeddingTable(vectors=rng.standard_normal((4, 4)).astype(np.float32))
         for pooling in ("attention", "mean"):
             with pytest.raises(ModelError, match="fully masked"):
@@ -304,7 +297,7 @@ class TestPooling:
 class TestClassifierForward:
     def test_zero_output_weights_give_bias(self, rng):
         table = EmbeddingTable(vectors=rng.standard_normal((6, 3)).astype(np.float32))
-        batch = [make_doc(rng.integers(0, 6, m), 4) for m in (1, 3, 4)]
+        batch = encoded_set([rng.integers(0, 6, m) for m in (1, 3, 4)], seq_len=4)
         params = params_with(k=3, h=4, w_c=rng.standard_normal((4, 3)), b_o=np.array([0.3, -0.7]))
         logits = predict_logits(batch, table, params, "mean", temperature=2.0)
         np.testing.assert_allclose(logits, [[0.3, -0.7]] * 3, atol=0)
@@ -363,13 +356,12 @@ class TestLossAndGrad:
         return EmbeddingTable(vectors=rng.standard_normal((vocab, k)).astype(np.float32))
 
     def _batch(self, rng, n=3, seq_len=6, vocab=8):
-        docs = []
+        id_lists, labels = [], []
         for _ in range(n):
             m = int(rng.integers(1, seq_len + 1))
-            docs.append(
-                make_doc(rng.integers(0, vocab, m), seq_len, label=int(rng.integers(0, 2)))
-            )
-        return docs
+            id_lists.append(rng.integers(0, vocab, m))
+            labels.append(int(rng.integers(0, 2)))
+        return encoded_set(id_lists, labels, seq_len)
 
     def test_uniform_logits_loss_is_ln2(self, rng):
         batch = self._batch(rng)
@@ -519,13 +511,10 @@ class TestDistinctTokenScoring:
         # ids 0-3 of 6, so some table rows go unused; id 0 is both a real
         # token and the padding id; one document has no padding
         table = EmbeddingTable(vectors=rng.standard_normal((6, 4)).astype(np.float32))
-        batch = [
-            make_doc([0, 1, 0, 0, 2], 8, label=1),
-            make_doc([3, 3, 3], 8),
-            make_doc([1, 0, 1, 0, 1, 0, 1, 0], 8, label=1),
-            make_doc([2], 8),
-            make_doc([0, 0, 3, 1, 3, 0], 8),
-        ]
+        batch = encoded_set(
+            [[0, 1, 0, 0, 2], [3, 3, 3], [1, 0, 1, 0, 1, 0, 1, 0], [2], [0, 0, 3, 1, 3, 0]],
+            labels=[1, 0, 1, 0, 0], seq_len=8,
+        )
         params = random_attention(rng)
         params.w_c = rng.standard_normal((5, 4))
         params.b_c = 0.1 * rng.standard_normal(5)
@@ -561,7 +550,7 @@ class TestDistinctTokenScoring:
     def test_padding_row_never_read(self, rng, pooling):
         # id 0 pads every document here and is no real token: its row may
         # hold anything, even NaN, without changing a loss, gradient or logit
-        batch = [make_doc([1, 2, 1], 5), make_doc([3, 1], 5, label=1)]
+        batch = encoded_set([[1, 2, 1], [3, 1]], labels=[0, 1], seq_len=5)
         _, table, params = self._setup(rng)
         runs = []
         for row in (np.zeros(4), np.full(4, np.nan)):
@@ -580,7 +569,7 @@ class TestDistinctTokenScoring:
         # repeats them. A sum of two weights does not depend on their order,
         # so equal scores give bitwise-equal weights across documents.
         table = EmbeddingTable(vectors=rng.standard_normal((7, 4)).astype(np.float32))
-        batch = [make_doc([3, 5], 6), make_doc([5, 3], 6), make_doc([0, 3, 5, 3, 0, 5], 6)]
+        batch = encoded_set([[3, 5], [5, 3], [0, 3, 5, 3, 0, 5]], seq_len=6)
         rows, inv, mask, _ = _gather_batch(batch, table)
         assert rows.shape[0] == 3  # ids 0, 3 and 5
         _, alphas, _ = _pool(rows, inv, mask, random_attention(rng), "attention", 2.0)
@@ -621,6 +610,88 @@ class TestAdam:
             adam_step(params, grads, state, learning_rate=0.2)
         loss = float((scale * (params.b_a - target) ** 2).sum())
         assert loss < 1e-3
+
+
+def reference_adam_step(params, grads, m, v, t, learning_rate):
+    """Adam one tensor at a time, the oracle for the update over the flat buffer."""
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
+    for name, param in params.items():
+        grad = grads[name]
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * grad
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * grad * grad
+        param -= learning_rate * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
+
+
+class TestFlatAdam:
+    def test_equals_per_tensor_reference_bitwise(self, rng):
+        params = init_params(Cfg, seed=1)
+        ref = {name: arr.copy() for name, arr in params.tensors().items()}
+        ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        state = AdamState.for_params(params)
+        for t in range(1, 51):
+            grads = params.map(lambda arr: rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-8, 3))
+            grads.b_c[...] = 0.0  # one tensor's gradient stays zero throughout
+            adam_step(params, grads, state, learning_rate=1e-2)
+            reference_adam_step(ref, grads.tensors(), ref_m, ref_v, t, 1e-2)
+            for name, arr in params.tensors().items():
+                assert np.array_equal(arr, ref[name]), (t, name)
+                assert np.array_equal(getattr(state.m, name), ref_m[name]), (t, name)
+                assert np.array_equal(getattr(state.v, name), ref_v[name]), (t, name)
+        assert np.array_equal(params.b_c, np.zeros_like(params.b_c))
+
+    def test_tensors_are_views_into_the_flat_buffer(self, rng):
+        params = init_params(Cfg, seed=2)
+        params.w_o = rng.standard_normal((2, 5))  # replacing a tensor repacks the buffer
+        params.flat[...] = 0.0
+        assert all(np.all(arr == 0.0) for arr in params.tensors().values())
+        assert params.flat.size == sum(arr.size for arr in params.tensors().values())
+
+
+class TestPoolOnce:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_set_rows_equal_per_batch_rows_bitwise(self, data):
+        # Mean-pooled rows do not depend on which batch a document is in, so
+        # fit pools each set once; a batch's loss and gradients from those
+        # rows are bitwise those of pooling the batch.
+        n, seq_len, vocab = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 9)), 7
+        id_lists = [data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=seq_len))
+                    for _ in range(n)]
+        docs = encoded_set(id_lists, data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                                         max_size=n)), seq_len)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = EmbeddingTable(vectors=rng.standard_normal((vocab, 4)).astype(np.float32))
+        params = init_params(Cfg, seed=3)
+        whole = pool_batch(docs, table, params, "mean", temperature=2.0)
+        order = np.array(data.draw(st.permutations(range(n))))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        for part in np.split(order, cuts):
+            assert np.array_equal(pool_batch(docs[part], table, params, "mean", temperature=2.0),
+                                  whole[part])
+            runs = [loss_and_grad(docs[part], table, params, "mean", 1e-3,
+                                  np.random.default_rng(4), temperature=2.0, dropout_p=0.5,
+                                  pooled=pooled)
+                    for pooled in (None, whole[part])]
+            (loss_a, grads_a, acc_a), (loss_b, grads_b, acc_b) = runs
+            assert loss_a == loss_b and acc_a == acc_b
+            assert np.array_equal(grads_a.flat, grads_b.flat)
+            assert np.array_equal(
+                predict_logits(docs[part], table, params, "mean", temperature=2.0),
+                predict_logits(docs[part], table, params, "mean", temperature=2.0,
+                               pooled=whole[part]))
+
+    def test_attention_rows_cannot_be_passed_in(self, rng):
+        docs = encoded_set([[1, 2], [3]], seq_len=3)
+        table = EmbeddingTable(vectors=rng.standard_normal((4, 4)).astype(np.float32))
+        params = init_params(Cfg, seed=0)
+        pooled = pool_batch(docs, table, params, "attention", temperature=2.0)
+        with pytest.raises(ModelError, match="mean-pooled"):
+            loss_and_grad(docs, table, params, "attention", 0.0, None, temperature=2.0,
+                          dropout_p=0.0, pooled=pooled)
 
 
 class TestInitParams:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from synthetic import make_cluster_dataset
+from synthetic import encoded_set, make_cluster_dataset
 from halattn import store
 from halattn.cooc import CoocPair, build_cooc
-from halattn.corpus import EncodedDocument, Vocabulary
+from halattn.corpus import Vocabulary
 from halattn.linalg import EmbeddingTable
 from halattn.train import EpochRecord, TrainConfig, fit, split
 
@@ -32,15 +32,8 @@ def pair(rng):
 
 
 def _pair(rng):
-    docs = []
-    for _ in range(6):
-        m = int(rng.integers(2, 9))
-        ids = np.zeros(10, dtype=np.int32)
-        ids[:m] = rng.integers(0, 5, m)
-        docs.append(
-            EncodedDocument(ids=ids, mask=np.arange(10) < m, label=0, real_length=m)
-        )
-    return build_cooc(docs, 5, 3)
+    return build_cooc(encoded_set([rng.integers(0, 5, rng.integers(2, 9)) for _ in range(6)],
+                                  seq_len=10), 5, 3)
 
 
 @pytest.fixture(scope="module")
@@ -530,3 +523,17 @@ class TestLoaderFuzzing:
         path.write_bytes(_wrap("embeddings", struct.pack("<Q", 1) + record))
         with pytest.raises(store.StoreError):
             store.load_embeddings(path)
+
+    @pytest.mark.parametrize("name", ["w_a", "b_a", "v_a", "w_c", "b_c", "ln_gain", "ln_shift",
+                                      "w_o", "b_o"])
+    def test_tensor_shape_must_match_config(self, pristine, name):
+        # a checksum-valid checkpoint whose tensor does not fit embed_dim,
+        # attn_dim and hidden: w_a is (3, 5) against the config's (4, 8)
+        _, path, original = pristine["checkpoint"]
+        path.write_bytes(original)
+        records = store._load_records(path, store.MAGIC_CKPT, store._CKPT_LAYOUT)
+        shape = records[name].shape
+        records[name] = np.zeros((3, 5) if name == "w_a" else shape[:-1] + (shape[-1] + 1,))
+        store._save_records(path, store.MAGIC_CKPT, records)
+        with pytest.raises(store.FormatError, match=f"tensor '{name}' has shape"):
+            store.load_checkpoint(path)

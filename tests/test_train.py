@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import halattn.train
-from synthetic import make_cluster_dataset
-from halattn.corpus import EncodedDocument, Vocabulary
+from synthetic import encoded_set, make_cluster_dataset
+from halattn.corpus import Vocabulary
 from halattn.linalg import EmbeddingTable
 from halattn.model import DivergenceError, ModelParams, init_params
 from halattn.train import (
@@ -21,12 +21,9 @@ from halattn.train import (
 )
 
 
-def tiny_doc(label, ids, seq_len=4):
-    arr = np.zeros(seq_len, dtype=np.int32)
-    arr[: len(ids)] = ids
-    return EncodedDocument(
-        ids=arr, mask=np.arange(seq_len) < len(ids), label=label, real_length=len(ids)
-    )
+def tiny_set(labels, ids, seq_len=4):
+    """One document per label, each holding `ids`."""
+    return encoded_set([ids] * len(labels), labels, seq_len)
 
 
 def diverge_in_epoch_two():
@@ -106,7 +103,7 @@ class TestConfigText:
 
 class TestSplit:
     def _balanced(self, n):
-        return [tiny_doc(i % 2, [0]) for i in range(n)]
+        return tiny_set([i % 2 for i in range(n)], [0])
 
     def test_stratified_counts(self):
         train, val = split(self._balanced(10), 0.2, seed=0)
@@ -118,10 +115,8 @@ class TestSplit:
         docs = self._balanced(20)
         first = split(docs, 0.25, seed=9)
         second = split(docs, 0.25, seed=9)
-        for a, b in zip(first[0], second[0]):
-            assert a is b
-        for a, b in zip(first[1], second[1]):
-            assert a is b
+        for a, b in zip(first, second):
+            assert np.array_equal(a.ids, b.ids) and np.array_equal(a.labels, b.labels)
 
     def test_large_arithmetic(self):
         train, val = split(self._balanced(25000), 0.1, seed=1)
@@ -132,7 +127,7 @@ class TestSplit:
             split(self._balanced(4), 0.1, seed=0)  # rounds to zero per class
 
     def test_too_few_per_class_rejected(self):
-        docs = [tiny_doc(0, [0]), tiny_doc(0, [0]), tiny_doc(1, [0])]
+        docs = tiny_set([0, 0, 1], [0])
         with pytest.raises(TrainError):
             split(docs, 0.5, seed=0)
 
@@ -204,7 +199,8 @@ class TestFit:
         docs, _ = make_cluster_dataset(seed=4)
         split_a = split(docs, cfg_mean.val_fraction, cfg_mean.seed)
         split_b = split(docs, cfg_attn.val_fraction, cfg_attn.seed)
-        assert all(x is y for x, y in zip(split_a[0], split_b[0]))
+        assert np.array_equal(split_a[0].ids, split_b[0].ids)
+        assert np.array_equal(split_a[0].labels, split_b[0].labels)
 
     def test_test_series_recorded_but_not_selected_on(self):
         docs, table = make_cluster_dataset(seed=5)
@@ -278,17 +274,17 @@ class TestEvaluate:
 
     def test_single_correct_document(self):
         ckpt = constant_checkpoint(b_o=(0.0, 1.0))  # always predicts positive
-        acc = evaluate(ckpt, [tiny_doc(1, [2, 3])], self._table())
+        acc = evaluate(ckpt, tiny_set([1], [2, 3]), self._table())
         assert acc == 1.0
 
     def test_constant_logits_on_balanced_set(self):
         ckpt = constant_checkpoint()
-        docs = [tiny_doc(i % 2, [1]) for i in range(40)]
+        docs = tiny_set([i % 2 for i in range(40)], [1])
         assert evaluate(ckpt, docs, self._table()) == 0.5
 
     def test_purity(self):
         ckpt = constant_checkpoint(b_o=(0.2, 0.1))
-        docs = [tiny_doc(i % 2, [1, 2]) for i in range(10)]
+        docs = tiny_set([i % 2 for i in range(10)], [1, 2])
         before = {name: arr.copy() for name, arr in ckpt.params.tensors().items()}
         first = evaluate(ckpt, docs, self._table())
         second = evaluate(ckpt, docs, self._table())
@@ -300,11 +296,11 @@ class TestEvaluate:
         ckpt = constant_checkpoint()
         table = EmbeddingTable(vectors=np.ones((10, 7), dtype=np.float32))
         with pytest.raises(TrainError):
-            evaluate(ckpt, [tiny_doc(0, [1])], table)
+            evaluate(ckpt, tiny_set([0], [1]), table)
 
     def test_empty_dataset(self):
         with pytest.raises(TrainError):
-            evaluate(constant_checkpoint(), [], self._table())
+            evaluate(constant_checkpoint(), tiny_set([], [1]), self._table())
 
 
 class TestInspectAttention:
