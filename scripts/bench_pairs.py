@@ -6,8 +6,9 @@ Usage, from the repository root:
     python3 scripts/bench_pairs.py --parent HEAD --seeds 1101-1110 --out BENCH_11.json \
         --change "what the change does"
 
-For each seed and each workload it runs `perfbench/run.py` once on the parent
-revision and once on the working tree. The parent is the committed files of
+For each seed and each workload of BENCHMARK.json it runs `perfbench/run.py`,
+for BENCHMARK.json's `run_seconds`, once on the parent revision and once on
+the working tree. The parent is the committed files of
 --parent, unpacked with `git archive` into a temporary directory, so it
 builds from its own source and leaves nothing in `.git`. The side that runs
 first alternates from one pair to the next. Each run's last stdout line must
@@ -27,7 +28,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("train-imdb", "embed-imdb", "desk")
 
 
 def seeds(text: str) -> list[int]:
@@ -42,8 +42,6 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision of the parent side")
     p.add_argument("--seeds", required=True, type=seeds, help="'FIRST-LAST' or 'A,B,C'")
-    p.add_argument("--workloads", default=",".join(WORKLOADS), type=lambda s: s.split(","))
-    p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     p.add_argument("--change", default="", help="one line on what the change does")
@@ -110,9 +108,11 @@ def dump(doc: dict) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    command = (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    command = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                f"--trace {args.trace}")
     runs, problems, pair = [], [], 0
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -121,11 +121,11 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         sides = {"parent": Path(tmp), "change": ROOT}
         for seed in args.seeds:
-            for workload in args.workloads:
+            for workload in workloads:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 pair += 1
                 for side in order:
-                    env, result, problem = run_once(sides[side], workload, seed, args.seconds,
+                    env, result, problem = run_once(sides[side], workload, seed, seconds,
                                                     args.trace)
                     if env and "environment" not in doc:
                         doc["environment"] = {k: v for k, v in env.items()

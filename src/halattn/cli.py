@@ -28,9 +28,16 @@ def _build_config(args) -> TrainConfig:
     except UnicodeDecodeError as exc:
         raise TrainError(f"cannot decode config file {args.config} as UTF-8: {exc}") from None
     values = parse_config(text, args.config)
-    flags = ("pooling", "seed", "max_epochs", "batch_size", "learning_rate", "patience",
-             "temperature")
-    values.update({k: getattr(args, k) for k in flags if getattr(args, k, None) is not None})
+    overrides = {
+        "pooling": getattr(args, "pooling", None),
+        "seed": getattr(args, "seed", None),
+        "max_epochs": getattr(args, "max_epochs", None),
+        "batch_size": getattr(args, "batch_size", None),
+        "learning_rate": getattr(args, "learning_rate", None),
+        "patience": getattr(args, "patience", None),
+        "temperature": getattr(args, "temperature", None),
+    }
+    values.update({k: v for k, v in overrides.items() if v is not None})
     return TrainConfig(**values)
 
 

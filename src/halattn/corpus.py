@@ -64,6 +64,12 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
+    def __contains__(self, token: str) -> bool:
+        return token in self.index
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
 
 @dataclass
 class EncodedDocument:

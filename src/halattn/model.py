@@ -55,8 +55,9 @@ class ModelParams:
     """The nine trainable tensors, in checkpoint order.
 
     The same record holds their gradients and Adam's two moments. The
-    tensors are float64 views into one contiguous buffer, `flat`, so Adam
-    updates all nine in one pass; assigning a tensor repacks the buffer.
+    tensors are float64 views into one contiguous buffer, `flat`, built
+    here, so Adam updates all nine in one pass. Change a tensor in place;
+    an assigned array is not part of `flat`.
     """
 
     w_a: np.ndarray  # (d_a, k)
@@ -74,13 +75,8 @@ class ModelParams:
         flat = np.concatenate([np.ravel(a) for a in tensors.values()], dtype=np.float64)
         parts = np.split(flat, np.cumsum([np.size(a) for a in tensors.values()])[:-1])
         for (name, a), part in zip(tensors.items(), parts):
-            object.__setattr__(self, name, part.reshape(np.shape(a)))
-        object.__setattr__(self, "flat", flat)
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name != "flat" and "flat" in self.__dict__:  # a tensor was replaced: repack
-            self.__post_init__()
+            setattr(self, name, part.reshape(np.shape(a)))
+        self.flat = flat
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Tensors keyed by name, in checkpoint order."""
@@ -258,6 +254,12 @@ def _head_backward(
     grads["b_c"] = dz.sum(axis=0)
     ds = dz @ params.w_c
     return grads, ds
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _gather_batch(

@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     POOLING_MODES,
     _head_forward,
+    _softmax_rows,
     adam_step,
     init_params,
     loss_and_grad,
@@ -284,7 +285,9 @@ def inspect_attention(
         temperature=checkpoint.config.temperature,
     )
     logits = _head_forward(pooled[None], checkpoint.params, 0.0, None)[0][0]
-    e = np.exp(logits - logits.max())
-    probs = e / e.sum()
-    pairs = [(vocab.tokens[int(doc.ids[t])], float(alphas[t])) for t in range(doc.real_length)]
+    probs = _softmax_rows(logits[None])[0]
+    pairs = [
+        (vocab.tokens[int(doc.ids[t])], float(alphas[t]))
+        for t in range(doc.real_length)
+    ]
     return AttentionReport(tokens=pairs, predicted=int(np.argmax(logits)), probs=probs)

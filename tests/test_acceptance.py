@@ -207,7 +207,7 @@ def test_criterion_5_temperature_limit():
         s_mean, _ = pool_sequence(x, mask, params, "mean", temperature=1e6)
         s_attn, _ = pool_sequence(x, mask, params, "attention", temperature=1e6)
         worst = max(worst, float(np.abs(s_attn - s_mean).max()))
-        params.v_a = np.zeros(d_a)
+        params.v_a[...] = np.zeros(d_a)
         s_zero, _ = pool_sequence(x, mask, params, "attention", temperature=1e6)
         exact = exact and np.array_equal(s_zero, s_mean)
     report(

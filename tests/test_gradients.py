@@ -30,11 +30,11 @@ def toy_batch(rng, n_docs=3, vocab=VOCAB):
 def toy_params(rng, seed):
     params = init_params(ToyCfg, seed=seed)
     # randomize the zero-initialized tensors so their gradients are generic
-    params.b_a = 0.1 * rng.standard_normal(ATTN_DIM)
-    params.b_c = 0.1 * rng.standard_normal(HIDDEN)
-    params.ln_gain = 1.0 + 0.1 * rng.standard_normal(HIDDEN)
-    params.ln_shift = 0.1 * rng.standard_normal(HIDDEN)
-    params.b_o = 0.1 * rng.standard_normal(2)
+    params.b_a[...] = 0.1 * rng.standard_normal(ATTN_DIM)
+    params.b_c[...] = 0.1 * rng.standard_normal(HIDDEN)
+    params.ln_gain[...] = 1.0 + 0.1 * rng.standard_normal(HIDDEN)
+    params.ln_shift[...] = 0.1 * rng.standard_normal(HIDDEN)
+    params.b_o[...] = 0.1 * rng.standard_normal(2)
     return params
 
 

@@ -106,7 +106,7 @@ class TestAttentionScores:
     def test_zero_projection(self, rng):
         # v_a = 0 scores every real token 0: weights exactly 1/m, 0 at padding
         params = random_attention(rng)
-        params.v_a = np.zeros(3)
+        params.v_a[...] = np.zeros(3)
         x = rng.standard_normal((5, 4))
         mask = np.array([True] * 4 + [False])
         _, alphas = pool_sequence(x, mask, params, "attention", temperature=2.0)
@@ -225,7 +225,7 @@ class TestPooling:
 
     def test_uniform_reduces_to_mean(self, rng):
         params = random_attention(rng, k=3)
-        params.v_a = np.zeros(3)
+        params.v_a[...] = np.zeros(3)
         x = rng.standard_normal((4, 3))
         mask = np.array([True, True, True, False])
         pooled, alphas = pool_sequence(x, mask, params, "attention", temperature=2.0)
@@ -286,7 +286,7 @@ class TestPooling:
     def test_zero_init_equals_mean_exactly(self, rng):
         for _ in range(20):
             params = random_attention(rng)
-            params.v_a = np.zeros(3)
+            params.v_a[...] = np.zeros(3)
             m = int(rng.integers(1, 7))
             mask = np.arange(6) < m
             x = rng.standard_normal((6, 4))
@@ -316,7 +316,7 @@ class TestClassifierForward:
         params = params_with(k=2, h=2, w_c=np.eye(2), w_o=np.eye(2))
         logits = predict_logits(batch, table, params, "mean", temperature=2.0)
         np.testing.assert_allclose(logits, [[0.0, 1.0]], atol=1e-4)  # after ReLU
-        params.ln_shift = np.array([2.0, 2.0])  # lifts xhat clear of the ReLU
+        params.ln_shift[...] = np.array([2.0, 2.0])  # lifts xhat clear of the ReLU
         logits = predict_logits(batch, table, params, "mean", temperature=2.0)
         np.testing.assert_allclose(logits - 2.0, [[-1.0, 1.0]], atol=1e-4)
 
@@ -434,9 +434,9 @@ class TestLossAndGrad:
         batch = self._batch(rng, n=5, seq_len=7)
         table = self._table(rng)
         params = init_params(Cfg, seed=4)
-        params.b_a = rng.standard_normal(3)
+        params.b_a[...] = rng.standard_normal(3)
         for name in zeroed:
-            setattr(params, name, np.zeros_like(getattr(params, name)))
+            getattr(params, name)[...] = 0.0
         assert any(not doc.mask.all() for doc in batch)
         hyper = dict(temperature=2.0, dropout_p=0.5)
         runs = {
@@ -516,11 +516,11 @@ class TestDistinctTokenScoring:
             labels=[1, 0, 1, 0, 0], seq_len=8,
         )
         params = random_attention(rng)
-        params.w_c = rng.standard_normal((5, 4))
-        params.b_c = 0.1 * rng.standard_normal(5)
-        params.ln_gain = 1.0 + 0.1 * rng.standard_normal(5)
-        params.ln_shift = 0.1 * rng.standard_normal(5)
-        params.w_o = rng.standard_normal((2, 5))
+        params.w_c[...] = rng.standard_normal((5, 4))
+        params.b_c[...] = 0.1 * rng.standard_normal(5)
+        params.ln_gain[...] = 1.0 + 0.1 * rng.standard_normal(5)
+        params.ln_shift[...] = 0.1 * rng.standard_normal(5)
+        params.w_o[...] = rng.standard_normal((2, 5))
         return batch, table, params
 
     @pytest.mark.parametrize("pooling", ["attention", "mean"])
@@ -600,7 +600,7 @@ class TestAdam:
     def test_quadratic_convergence(self):
         # minimize (x0 - 1)^2 + 5 (x1 + 2)^2 using b_a as the variable
         params = init_params(Cfg, seed=0)
-        params.b_a = np.array([3.0, 1.0, 0.0])
+        params.b_a[...] = np.array([3.0, 1.0, 0.0])
         target = np.array([1.0, -2.0, 0.0])
         scale = np.array([1.0, 5.0, 1.0])
         state = AdamState.for_params(params)
@@ -645,7 +645,7 @@ class TestFlatAdam:
 
     def test_tensors_are_views_into_the_flat_buffer(self, rng):
         params = init_params(Cfg, seed=2)
-        params.w_o = rng.standard_normal((2, 5))  # replacing a tensor repacks the buffer
+        params.w_o[...] = rng.standard_normal((2, 5))
         params.flat[...] = 0.0
         assert all(np.all(arr == 0.0) for arr in params.tensors().values())
         assert params.flat.size == sum(arr.size for arr in params.tensors().values())

@@ -308,8 +308,8 @@ class TestInspectAttention:
         vocab = Vocabulary.from_tokens(["alpha", "beta", "gamma"])
         table = EmbeddingTable(vectors=rng.standard_normal((3, 3)).astype(np.float32))
         ckpt = constant_checkpoint(pooling="attention")
-        ckpt.params.w_a = rng.standard_normal((2, 3))
-        ckpt.params.v_a = rng.standard_normal(2)
+        ckpt.params.w_a[...] = rng.standard_normal((2, 3))
+        ckpt.params.v_a[...] = rng.standard_normal(2)
         return vocab, table, ckpt
 
     def test_single_token_gets_full_weight(self, rng):
@@ -321,7 +321,7 @@ class TestInspectAttention:
 
     def test_zero_projection_gives_uniform_weights(self, rng):
         vocab, table, ckpt = self._setup(rng)
-        ckpt.params.v_a = np.zeros(2)
+        ckpt.params.v_a[...] = np.zeros(2)
         report = inspect_attention(ckpt, table, vocab, "alpha beta gamma")
         weights = [w for _, w in report.tokens]
         np.testing.assert_allclose(weights, [1.0 / 3.0] * 3, atol=1e-15)
