@@ -46,10 +46,13 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
-        index = {tok: i for i, tok in enumerate(tokens)}
-        vocab = cls(tokens=list(tokens), index=index)
-        vocab.validate()
-        return vocab
+        """The vocabulary of distinct, non-empty tokens, id i for tokens[i]."""
+        index = dict(zip(tokens, range(len(tokens))))
+        if len(index) != len(tokens):
+            raise CorpusError("vocabulary contains duplicate tokens")
+        if "" in index:
+            raise CorpusError("vocabulary contains an empty token")
+        return cls(tokens=list(tokens), index=index)
 
     def validate(self):
         if len(self.index) != len(self.tokens):
@@ -176,7 +179,8 @@ def load_labeled_dir(path: str | Path) -> list[RawDocument]:
     """Load `<path>/pos/*` and `<path>/neg/*` as labeled documents.
 
     Positive documents come first, each subdirectory read in sorted
-    filename order so the result is deterministic.
+    filename order so the result is deterministic. Each file is read as
+    bytes and decoded as UTF-8; its text is what text-mode `open()` reads.
     """
     root = Path(path)
     docs: list[RawDocument] = []
@@ -185,11 +189,17 @@ def load_labeled_dir(path: str | Path) -> list[RawDocument]:
         if not subdir.is_dir():
             raise CorpusError(f"missing '{sub}' subdirectory under {root}")
         for file in sorted(e.path for e in os.scandir(subdir) if e.is_file()):
+            fd = os.open(file, os.O_RDONLY)
             try:
-                with open(file, encoding="utf-8") as f:
-                    text = f.read()
+                data = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            try:
+                text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"cannot decode {file} as UTF-8: {exc}") from exc
+            if "\r" in text:  # universal newlines, as text-mode open() reads them
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
             if not text.strip():
                 raise CorpusError(f"empty document file: {file}")
             docs.append(RawDocument(text=text, label=label))

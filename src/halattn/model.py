@@ -3,6 +3,8 @@ backward pass, Adam updates, and the parameter record.
 
 Word embeddings are fixed inputs; gradients flow only into the nine tensors
 of `ModelParams`, views into one flat buffer that Adam updates in one pass.
+`loss_and_grad` writes them into an `out` record, which training allocates
+once, so a step builds no record of its own.
 Temperature and dropout come from the training config. Both pooling modes go
 through `_pool`: mean pooling is the uniform-weight case of the same weighted
 sum as attention pooling, so the two are bitwise identical when all attention
@@ -202,64 +204,54 @@ def pool_sequence(
 
 def _head_forward(
     s: np.ndarray, params: ModelParams, dropout_p: float, noise: np.random.Generator | None
-) -> tuple[np.ndarray, dict]:
-    """Forward pass of the (B, k) -> (B, 2) head, caching for backward.
+) -> tuple[np.ndarray, tuple]:
+    """Forward pass of the (B, k) -> (B, 2) head; returns (logits, cache for backward).
 
+    LayerNorm statistics are np.mean/np.var's own add.reduce and divide.
     dropout_p = 0 is eval mode and draws no noise.
     """
-    z = s @ params.w_c.T + params.b_c
-    mu = z.mean(axis=-1, keepdims=True)
-    var = z.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (z - mu) * inv_std
-    ln = xhat * params.ln_gain + params.ln_shift
-    act = np.maximum(ln, 0.0)
+    z = s @ params.w_c.T
+    z += params.b_c
+    h = z.shape[-1]
+    zc = z - np.add.reduce(z, axis=-1, keepdims=True) / h
+    inv_std = 1.0 / np.sqrt(np.add.reduce(zc * zc, axis=-1, keepdims=True) / h + LN_EPS)
+    xhat = zc * inv_std
+    ln = xhat * params.ln_gain
+    ln += params.ln_shift
+    hidden = np.maximum(ln, 0.0)
+    keep = None
     if dropout_p > 0.0:
         if noise is None:
             raise ModelError("training with dropout requires a noise generator")
-        keep = noise.random(act.shape) >= dropout_p
-        hidden = act * keep / (1.0 - dropout_p)
-    else:
-        keep = None
-        hidden = act
-    logits = hidden @ params.w_o.T + params.b_o
-    cache = {"s": s, "inv_std": inv_std, "xhat": xhat, "ln": ln, "keep": keep, "hidden": hidden}
-    return logits, cache
+        keep = noise.random(hidden.shape) >= dropout_p
+        hidden = hidden * keep / (1.0 - dropout_p)
+    logits = hidden @ params.w_o.T
+    logits += params.b_o
+    return logits, (s, inv_std, xhat, ln, keep, hidden)
 
 
-def _head_backward(
-    dlogits: np.ndarray, params: ModelParams, dropout_p: float, cache: dict
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Backward through the head. Returns (per-tensor grads, dL/ds)."""
-    hidden = cache["hidden"]
-    grads = {
-        "w_o": dlogits.T @ hidden,
-        "b_o": dlogits.sum(axis=0),
-    }
-    dhidden = dlogits @ params.w_o
-    if cache["keep"] is not None:
-        dact = dhidden * cache["keep"] / (1.0 - dropout_p)
-    else:
-        dact = dhidden
-    dln = dact * (cache["ln"] > 0.0)
-    grads["ln_gain"] = (dln * cache["xhat"]).sum(axis=0)
-    grads["ln_shift"] = dln.sum(axis=0)
+def _head_backward(dlogits: np.ndarray, params: ModelParams, dropout_p: float, cache: tuple,
+                   out: ModelParams) -> np.ndarray:
+    """Backward through the head: writes its six gradients into `out`, returns dL/ds."""
+    s, inv_std, xhat, ln, keep, hidden = cache
+    h = xhat.shape[-1]
+    np.matmul(dlogits.T, hidden, out=out.w_o)
+    np.add.reduce(dlogits, axis=0, out=out.b_o)
+    dact = dlogits @ params.w_o
+    if keep is not None:
+        dact = dact * keep / (1.0 - dropout_p)
+    dln = dact * (ln > 0.0)
+    np.add.reduce(dln * xhat, axis=0, out=out.ln_gain)
+    np.add.reduce(dln, axis=0, out=out.ln_shift)
     dxhat = dln * params.ln_gain
-    dz = cache["inv_std"] * (
+    dz = inv_std * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - cache["xhat"] * (dxhat * cache["xhat"]).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / h
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / h)
     )
-    grads["w_c"] = dz.T @ cache["s"]
-    grads["b_c"] = dz.sum(axis=0)
-    ds = dz @ params.w_c
-    return grads, ds
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.matmul(dz.T, s, out=out.w_c)
+    np.add.reduce(dz, axis=0, out=out.b_c)
+    return dz @ params.w_c
 
 
 def _gather_batch(
@@ -275,19 +267,6 @@ def _gather_batch(
     present[ids[mask]] = True
     inv = np.where(mask, np.cumsum(present)[ids] - 1, 0)
     return embeddings.gather(np.flatnonzero(present)), inv, mask, labels
-
-
-def _l2_tensors(params: ModelParams, pooling: str) -> dict[str, np.ndarray]:
-    """Weight matrices subject to L2 decay; biases and LayerNorm affine are not.
-
-    The attention projection only belongs to the model when attention
-    pooling is active.
-    """
-    tensors = {"w_c": params.w_c, "w_o": params.w_o}
-    if pooling == "attention":
-        tensors["w_a"] = params.w_a
-        tensors["v_a"] = params.v_a
-    return tensors
 
 
 def pool_batch(batch: EncodedSet, embeddings: EmbeddingTable, params: ModelParams,
@@ -318,12 +297,16 @@ def loss_and_grad(
     temperature: float,
     dropout_p: float,
     pooled: np.ndarray | None = None,
+    out: ModelParams | None = None,
 ) -> tuple[float, ModelParams, float]:
     """Training loss, gradients, and batch accuracy.
 
     Mean cross-entropy over the batch plus weight_decay * sum of squared
-    weight-matrix entries. Embeddings are fixed inputs and receive no
-    gradient. Mean-pooled rows computed once by pool_batch may be passed in.
+    weight-matrix entries: w_c and w_o, and w_a and v_a under attention
+    pooling (biases and the LayerNorm affine are not decayed). Embeddings are
+    fixed inputs and receive no gradient. Mean-pooled rows computed once by
+    pool_batch may be passed in. The gradients are written into `out`, a
+    record of params' shapes, which is returned; None allocates one.
     """
     if pooled is None:
         rows, inv, mask, labels = _gather_batch(batch, embeddings)
@@ -332,42 +315,47 @@ def loss_and_grad(
         labels, g = batch.labels, None
     else:
         raise ModelError("only mean-pooled rows can be passed in")
+    if out is None:
+        out = params.map(np.empty_like)
     n = labels.shape[0]
+    each = np.arange(n)
 
     logits, cache = _head_forward(pooled, params, dropout_p, noise)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
-    ce = -log_probs[np.arange(n), labels].mean()
+    ce = -np.add.reduce(log_probs[each, labels]) / n
 
-    decay_tensors = _l2_tensors(params, pooling)
-    loss = float(ce + weight_decay * sum(float((w * w).sum()) for w in decay_tensors.values()))
+    decayed = ("w_c", "w_o", "w_a", "v_a") if pooling == "attention" else ("w_c", "w_o")
+    weights = [getattr(params, name) for name in decayed]
+    loss = float(ce + weight_decay * sum(float((w * w).sum()) for w in weights))
     if not np.isfinite(loss):
         raise DivergenceError("loss is non-finite")
-    accuracy = float((logits.argmax(axis=-1) == labels).mean())
+    accuracy = int(np.count_nonzero(logits.argmax(axis=-1) == labels)) / n
 
     # Backward: cross entropy -> head -> pooling.
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits = np.exp(log_probs)
+    dlogits[each, labels] -= 1.0
     dlogits /= n
-    head_grads, ds = _head_backward(dlogits, params, dropout_p, cache)
+    ds = _head_backward(dlogits, params, dropout_p, cache, out)
 
     if g is None:
-        attn_grads = {name: np.zeros_like(getattr(params, name)) for name in ("w_a", "b_a", "v_a")}
+        for grad in (out.w_a, out.b_a, out.v_a):
+            grad.fill(0.0)
     else:
-        dalpha = np.take_along_axis(ds @ rows.T, inv, axis=1)
+        dalpha = (ds @ rows.T)[each[:, None], inv]
         de = (alphas / temperature) * (dalpha - (alphas * dalpha).sum(axis=-1, keepdims=True))
         # Each row's score feeds every slot holding it: sum the slot gradients per row.
         c = np.bincount(inv.ravel(), weights=de.ravel(), minlength=rows.shape[0])
         du = (c[:, None] * params.v_a) * (1.0 - g * g)
-        attn_grads = {"w_a": du.T @ rows, "b_a": du.sum(axis=0), "v_a": c @ g}
-    grads = ModelParams(**attn_grads, **head_grads)
+        np.matmul(du.T, rows, out=out.w_a)
+        np.add.reduce(du, axis=0, out=out.b_a)
+        np.matmul(c, g, out=out.v_a)
 
-    for name, w in decay_tensors.items():
-        getattr(grads, name)[...] += 2.0 * weight_decay * w
+    for name, w in zip(decayed, weights):
+        getattr(out, name)[...] += 2.0 * weight_decay * w
 
-    return loss, grads, accuracy
+    return loss, out, accuracy
 
 
 def adam_step(

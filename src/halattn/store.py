@@ -228,7 +228,8 @@ def vocab_from_bytes(data: bytes, path="<bytes>") -> Vocabulary:
         raise FormatError(path, "trailing content after checksum line")
     if not crc_line.startswith(_CRC_PREFIX.decode()):
         raise FormatError(path, "missing checksum line")
-    body = "".join(tok + "\n" for tok in tokens).encode("utf-8")
+    # the token lines, each with its "\n": from the header's end to the checksum line
+    body = data[data.index(b"\n") + 1 : data.rindex(b"\n", 0, len(data) - 1) + 1]
     try:
         stated = int(crc_line[len(_CRC_PREFIX) :], 16)
     except ValueError:

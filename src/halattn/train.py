@@ -17,7 +17,6 @@ from .model import (
     ModelParams,
     POOLING_MODES,
     _head_forward,
-    _softmax_rows,
     adam_step,
     init_params,
     loss_and_grad,
@@ -199,6 +198,7 @@ def fit(
         )
     params = init_params(config)
     adam = AdamState.for_params(params)
+    grads = params.map(np.empty_like)  # every step writes all of it
     if config.pooling == "mean":  # no pooling parameter: pool each set once
         train_rows, val_rows, test_rows = (
             _mean_pooled(docs, embeddings, params) for docs in (train_set, val_set, test_set))
@@ -217,10 +217,10 @@ def fit(
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
             try:
-                loss, grads, acc = loss_and_grad(
+                loss, _, acc = loss_and_grad(
                     train_set[batch], embeddings, params, config.pooling, config.weight_decay, rng,
                     temperature=config.temperature, dropout_p=config.dropout_p,
-                    pooled=None if train_rows is None else train_rows[batch],
+                    pooled=None if train_rows is None else train_rows[batch], out=grads,
                 )
             except DivergenceError as exc:
                 error = DivergenceError(f"{exc} (epoch {epoch}, batch {batch_idx})")
@@ -285,7 +285,8 @@ def inspect_attention(
         temperature=checkpoint.config.temperature,
     )
     logits = _head_forward(pooled[None], checkpoint.params, 0.0, None)[0][0]
-    probs = _softmax_rows(logits[None])[0]
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
     pairs = [
         (vocab.tokens[int(doc.ids[t])], float(alphas[t]))
         for t in range(doc.real_length)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halattn.corpus import (
@@ -249,6 +249,33 @@ class TestLoadLabeledDir:
         pos = self._layout(tmp_path)
         (pos / "a.txt").write_bytes(b"line one\r\nline two\r\n")
         assert load_labeled_dir(tmp_path)[0].text == "line one\nline two\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # a prefix of 8191 bytes puts a "\r" that follows it at the end of
+        # text mode's first 8 KiB read, so a "\r\n" may straddle two reads
+        prefix=st.sampled_from([b"", b"x" * 8191]),
+        pieces=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b" ", "\u00e9".encode(),
+                                         "\u65e5".encode(), "\u2028".encode(), "\x85".encode()])
+                        | st.binary(max_size=4), max_size=30),
+    )
+    def test_text_equals_text_mode_read(self, tmp_path_factory, prefix, pieces):
+        root = tmp_path_factory.mktemp("texts")
+        pos = self._layout(root)
+        file = pos / "a.txt"
+        file.write_bytes(prefix + b"".join(pieces))
+        try:
+            with open(file, encoding="utf-8") as f:
+                expected = f.read()
+        except UnicodeDecodeError:
+            with pytest.raises(CorpusError, match="a.txt"):
+                load_labeled_dir(root)
+            return
+        if not expected.strip():
+            with pytest.raises(CorpusError, match="empty document"):
+                load_labeled_dir(root)
+        else:
+            assert load_labeled_dir(root)[0].text == expected
 
     def test_mixed_names_in_sorted_order(self, tmp_path):
         pos = self._layout(tmp_path)

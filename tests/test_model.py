@@ -12,7 +12,6 @@ from halattn.model import (
     _gather_batch,
     _head_backward,
     _head_forward,
-    _l2_tensors,
     _pool,
     ADAM_BETA1,
     ADAM_BETA2,
@@ -336,12 +335,12 @@ class TestClassifierForward:
         )
         s = rng.standard_normal(k)
         _, eval_cache = _head_forward(s[None], params, 0.0, None)
-        eval_hidden = eval_cache["hidden"][0]
+        eval_hidden = eval_cache[-1][0]  # the cache ends with the hidden activations
 
         n = 100_000
         tiled = np.tile(s, (n, 1))
         _, cache = _head_forward(tiled, params, 0.6, np.random.default_rng(9))
-        sampled = cache["hidden"].mean(axis=0)
+        sampled = cache[-1].mean(axis=0)
         active = eval_hidden > 1e-3
         assert active.any()
         np.testing.assert_allclose(sampled[active], eval_hidden[active], rtol=0.02)
@@ -404,6 +403,26 @@ class TestLossAndGrad:
         assert loss - base == pytest.approx(expected, rel=1e-12)
         assert np.all(grads.w_a == 0.0) and np.all(grads.v_a == 0.0)
 
+    def test_out_record_equals_fresh_gradients(self, rng):
+        # attention first, then mean into the same record: gradients left
+        # over from the attention call would show in the mean call's w_a,
+        # b_a and v_a; the NaN start shows any entry left unwritten
+        batch, table = self._batch(rng, n=5, seq_len=7), self._table(rng)
+        params = init_params(Cfg, seed=6)
+        params.b_a[...] = rng.standard_normal(3)
+        record = params.map(lambda a: np.full_like(a, np.nan))
+        hyper = dict(temperature=2.0, dropout_p=0.6)
+        for pooling in ("attention", "mean"):
+            fresh = loss_and_grad(batch, table, params, pooling, 1e-3,
+                                  np.random.default_rng(8), **hyper)
+            into = loss_and_grad(batch, table, params, pooling, 1e-3,
+                                 np.random.default_rng(8), **hyper, out=record)
+            assert into[1] is record
+            assert into[0] == fresh[0] and into[2] == fresh[2]
+            assert np.array_equal(record.flat, fresh[1].flat), pooling
+            if pooling == "attention":
+                assert np.all(record.v_a != 0.0)
+
     def test_non_finite_loss_raises(self, rng):
         params = params_with(b_o=np.array([np.inf, 0.0]))
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
@@ -455,6 +474,11 @@ class TestLossAndGrad:
         assert np.array_equal(attn_logits, mean_logits)
 
 
+# The L2-decayed weight matrices per pooling mode, and the head's tensors.
+DECAYED = {"attention": ("w_c", "w_o", "w_a", "v_a"), "mean": ("w_c", "w_o")}
+HEAD_TENSORS = ("w_c", "b_c", "ln_gain", "ln_shift", "w_o", "b_o")
+
+
 def reference_pool(x, mask, params, pooling, temperature):
     """Per-slot pooling of a (B, T, k) batch: every slot is scored on its own."""
     if pooling == "attention":
@@ -479,13 +503,15 @@ def reference_loss_and_grad(batch, table, params, pooling, weight_decay, noise,
     logits, cache = _head_forward(pooled, params, dropout_p, noise)
     probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    decay = _l2_tensors(params, pooling)
+    decay = {name: getattr(params, name) for name in DECAYED[pooling]}
     loss = -np.log(probs[np.arange(n), labels]).mean() + weight_decay * sum(
         float((w * w).sum()) for w in decay.values()
     )
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
-    grads, ds = _head_backward(dlogits / n, params, dropout_p, cache)
+    head = params.map(np.zeros_like)
+    ds = _head_backward(dlogits / n, params, dropout_p, cache, head)
+    grads = {name: getattr(head, name) for name in HEAD_TENSORS}
     if g is None:
         grads.update(w_a=np.zeros_like(params.w_a), b_a=np.zeros_like(params.b_a),
                      v_a=np.zeros_like(params.v_a))

@@ -80,6 +80,27 @@ class TestVocabRoundTrip:
             assert lines[1 + i] == tok
 
 
+    @staticmethod
+    def _checksummed(tokens):
+        """Vocabulary file bytes for any token lines, with a valid checksum."""
+        body = "".join(tok + "\n" for tok in tokens).encode("utf-8")
+        return (f"HALVOCAB 1 {len(tokens)}\n".encode() + body
+                + f"#crc64 {store._checksum(body):016x}\n".encode())
+
+    def test_checksummed_bytes_are_the_written_file(self, vocab):
+        assert self._checksummed(vocab.tokens) == store.vocab_to_bytes(vocab)
+        assert store.vocab_from_bytes(self._checksummed([])).tokens == []
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["a", "b", "a"], "invalid vocabulary: vocabulary contains duplicate tokens"),
+        (["a", "", "b"], "invalid vocabulary: vocabulary contains an empty token"),
+        (["", ""], "invalid vocabulary: vocabulary contains duplicate tokens"),
+    ], ids=["duplicate", "empty", "duplicate-empty"])
+    def test_invalid_token_list_is_format_error(self, tokens, message):
+        with pytest.raises(store.FormatError, match=message):
+            store.vocab_from_bytes(self._checksummed(tokens), "v.txt")
+
+
 class TestCoocRoundTrip:
     def test_bit_exact(self, pair, vocab, tmp_path):
         path = tmp_path / "pair.cooc"
