@@ -8,6 +8,7 @@ given it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -17,9 +18,12 @@ from .cooc import CoocError, build_cooc, concat_pair
 from .corpus import CorpusError, build_vocab, encode_corpus, load_labeled_dir
 from .linalg import ConvergenceError, LinalgError, embed, truncated_svd
 from .model import DivergenceError, ModelError
-from .train import TrainConfig, TrainError, evaluate, fit, inspect_attention, parse_config, split
+from .train import (_CONFIG_TYPES, TrainConfig, TrainError, evaluate, fit, inspect_attention,
+                    parse_config, split)
 
 _CLASS_NAMES = {0: "negative", 1: "positive"}
+# TrainConfig fields that train and compare also take as flags, e.g. --max-epochs
+_OVERRIDES = ("seed", "max_epochs", "batch_size", "learning_rate", "patience", "temperature")
 
 
 def _build_config(args) -> TrainConfig:
@@ -28,16 +32,9 @@ def _build_config(args) -> TrainConfig:
     except UnicodeDecodeError as exc:
         raise TrainError(f"cannot decode config file {args.config} as UTF-8: {exc}") from None
     values = parse_config(text, args.config)
-    overrides = {
-        "pooling": getattr(args, "pooling", None),
-        "seed": getattr(args, "seed", None),
-        "max_epochs": getattr(args, "max_epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "learning_rate", None),
-        "patience": getattr(args, "patience", None),
-        "temperature": getattr(args, "temperature", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    for name in ("pooling", *_OVERRIDES):
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     return TrainConfig(**values)
 
 
@@ -161,7 +158,7 @@ def _cmd_compare(args) -> int:
 
     rows = []
     for pooling in ("mean", "attention"):
-        variant = config.with_pooling(pooling)
+        variant = dataclasses.replace(config, pooling=pooling)
         print(f"training {pooling} pooling:")
         ckpt, records = fit(train_set, val_set, table, variant, test_set=test_set,
                             log=_epoch_logger)
@@ -212,12 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def config_overrides(p):
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--max-epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--temperature", type=float, default=None)
+        for name in _OVERRIDES:
+            p.add_argument("--" + name.replace("_", "-"), type=_CONFIG_TYPES[name], default=None,
+                           help=f"override config {name}")
 
     p = sub.add_parser("train", help="train a classifier on fixed embeddings")
     p.add_argument("--data", required=True, help="training directory with pos/ and neg/")

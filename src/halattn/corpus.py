@@ -54,23 +54,8 @@ class Vocabulary:
             raise CorpusError("vocabulary contains an empty token")
         return cls(tokens=list(tokens), index=index)
 
-    def validate(self):
-        if len(self.index) != len(self.tokens):
-            raise CorpusError("vocabulary contains duplicate tokens")
-        for i, tok in enumerate(self.tokens):
-            if not tok:
-                raise CorpusError("vocabulary contains an empty token")
-            if self.index.get(tok) != i:
-                raise CorpusError("vocabulary index is not the inverse of the token list")
-
     @property
     def size(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def __len__(self) -> int:
         return len(self.tokens)
 
 

@@ -4,9 +4,11 @@ Binary artifacts share an envelope of 8-byte magic, u64 version, and a u64
 payload checksum (truncated SHA-256) around a u64 record count and named,
 typed records (name, dtype code, shape, little-endian data), which each
 loader checks against its format's layout. Each format has its own version.
-Text artifacts (vocabulary, metrics) carry the checksum on a trailing
-`#crc64` line instead so their body stays line-oriented. Writers go through
-a unique temporary file, fsync and an atomic rename.
+Text artifacts (vocabulary, metrics) stay line-oriented: `_seal` follows
+their body with a `#crc64` line, the same checksum in hex, over the body
+bytes (for the vocabulary, the token lines after its header line), and
+`_unseal` is the one reader of that line for both. Writers go through a
+unique temporary file, fsync and an atomic rename.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ MAGIC_EMB = b"HALEMB  "
 MAGIC_CKPT = b"HALCKPT "
 VERSIONS = {MAGIC_VOCAB: 1, MAGIC_COOC: 3, MAGIC_EMB: 2, MAGIC_CKPT: 3}
 
-_CRC_PREFIX = b"#crc64 "
+_CRC_PREFIX = "#crc64 "
 _DTYPE_CODES = {0: np.float64, 1: np.float32, 2: np.int64, 3: np.uint8}
 _DTYPE_OF = {np.dtype(dtype): code for code, dtype in _DTYPE_CODES.items()}
 
@@ -164,7 +166,7 @@ def _save_records(path: str | Path, magic: bytes, arrays: dict[str, np.ndarray])
 def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.ndarray]:
     """Records of a binary artifact, checked against `layout`: exactly its names,
     each `name: (dtype, ndim)` with ndim None where any is accepted."""
-    reader = _open_envelope(_read(path), magic, path)
+    reader = _open_envelope(Path(path).read_bytes(), magic, path)
     records = {}
     for _ in range(reader.u64()):
         name, arr = _tensor_from(reader, path)
@@ -186,6 +188,35 @@ def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.
     return records
 
 
+def _seal(head: bytes, body: bytes) -> bytes:
+    """A text artifact: head, body, then the `#crc64` line over body."""
+    return head + body + f"{_CRC_PREFIX}{_checksum(body):016x}\n".encode()
+
+
+def _unseal(data: bytes, start: int, path) -> list[str]:
+    """The body lines that `_seal` put at data[start:]. The checksum line is the
+    first line that starts with "#"; it must be the last line, end in a newline
+    and checksum exactly the bytes from start up to it."""
+    try:
+        text = data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"not valid UTF-8: {exc}") from None
+    end = 0 if text.startswith("#") else text.find("\n#") + 1
+    if not text.startswith("#", end):
+        raise TruncatedFileError(path, "missing checksum line")
+    crc, newline, rest = text[end:].partition("\n")
+    if not newline:
+        raise TruncatedFileError(path, "checksum line cut short")
+    if rest:
+        raise FormatError(path, "content after the checksum line")
+    digits = crc[len(_CRC_PREFIX) :]
+    if not crc.startswith(_CRC_PREFIX) or len(digits) != 16 or digits.strip("0123456789abcdef"):
+        raise FormatError(path, f"malformed checksum line {crc!r}")
+    if f"{_checksum(data[start : len(data) - len(crc) - 1]):016x}" != digits:
+        raise ChecksumMismatchError(path, "checksum mismatch")
+    return text[:end].split("\n")[:-1]
+
+
 # ---------------------------------------------------------------------------
 # Vocabulary (line-oriented text)
 # ---------------------------------------------------------------------------
@@ -195,47 +226,24 @@ def vocab_to_bytes(vocab: Vocabulary) -> bytes:
     for tok in vocab.tokens:
         if ("\n" in tok) or ("\r" in tok) or tok.startswith("#") or not tok:
             raise ValueError(f"token {tok!r} cannot be stored in the line format")
-    body = "".join(tok + "\n" for tok in vocab.tokens).encode("utf-8")
     header = f"{MAGIC_VOCAB.decode()} {VERSIONS[MAGIC_VOCAB]} {vocab.size}\n".encode("utf-8")
-    crc = _CRC_PREFIX + f"{_checksum(body):016x}".encode() + b"\n"
-    return header + body + crc
+    return _seal(header, "".join(tok + "\n" for tok in vocab.tokens).encode("utf-8"))
 
 
 def vocab_from_bytes(data: bytes, path="<bytes>") -> Vocabulary:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(path, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if len(lines) < 2:
+    start = data.find(b"\n") + 1
+    if not start:
         raise TruncatedFileError(path, "missing vocabulary header")
-    head = lines[0].split(" ")
+    head = data[: start - 1].split(b" ")
     if len(head) != 3:
-        raise FormatError(path, f"malformed header line {lines[0]!r}")
-    if head[0] != MAGIC_VOCAB.decode():
-        raise MagicMismatchError(path, f"expected magic {MAGIC_VOCAB.decode()}, found {head[0]!r}")
-    if head[1] != str(VERSIONS[MAGIC_VOCAB]):
+        raise FormatError(path, f"malformed header line {data[: start - 1]!r}")
+    if head[0] != MAGIC_VOCAB:
+        raise MagicMismatchError(path, f"expected magic {MAGIC_VOCAB!r}, found {head[0]!r}")
+    if head[1] != b"%d" % VERSIONS[MAGIC_VOCAB]:
         raise VersionError(path, f"unsupported version {head[1]!r}")
-    try:
-        count = int(head[2])
-    except ValueError:
-        raise FormatError(path, f"malformed token count {head[2]!r}") from None
-    if count < 0 or len(lines) < count + 3:
-        raise TruncatedFileError(path, f"expected {count} token lines")
-    tokens = lines[1 : count + 1]
-    crc_line = lines[count + 1]
-    if lines[count + 2 :] != [""]:
-        raise FormatError(path, "trailing content after checksum line")
-    if not crc_line.startswith(_CRC_PREFIX.decode()):
-        raise FormatError(path, "missing checksum line")
-    # the token lines, each with its "\n": from the header's end to the checksum line
-    body = data[data.index(b"\n") + 1 : data.rindex(b"\n", 0, len(data) - 1) + 1]
-    try:
-        stated = int(crc_line[len(_CRC_PREFIX) :], 16)
-    except ValueError:
-        raise FormatError(path, "malformed checksum line") from None
-    if _checksum(body) != stated:
-        raise ChecksumMismatchError(path, "token block checksum mismatch")
+    tokens = _unseal(data, start, path)
+    if head[2] != b"%d" % len(tokens):
+        raise FormatError(path, f"header states {head[2]!r} tokens, the file holds {len(tokens)}")
     try:
         return Vocabulary.from_tokens(tokens)
     except Exception as exc:
@@ -247,11 +255,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path):
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    return vocab_from_bytes(_read(path), path)
-
-
-def _read(path: str | Path) -> bytes:
-    return Path(path).read_bytes()
+    return vocab_from_bytes(Path(path).read_bytes(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +374,15 @@ def save_metrics(records: list[EpochRecord], path: str | Path):
         lines.append(
             f"{r.epoch},{r.train_loss!r},{r.train_acc!r},{r.val_acc!r},{test},{r.wall_seconds!r}"
         )
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    crc = _CRC_PREFIX + f"{_checksum(body):016x}".encode() + b"\n"
-    _write_atomic(path, body + crc)
+    _write_atomic(path, _seal(b"", "".join(line + "\n" for line in lines).encode("utf-8")))
 
 
 def load_metrics(path: str | Path) -> list[EpochRecord]:
-    data = _read(path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(path, f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if len(lines) < 3 or lines[-1] != "":
-        raise TruncatedFileError(path, "missing checksum line")
-    crc_line = lines[-2]
-    if not crc_line.startswith(_CRC_PREFIX.decode()):
-        raise FormatError(path, "missing checksum line")
-    body = ("\n".join(lines[:-2]) + "\n").encode("utf-8")
-    try:
-        stated = int(crc_line[len(_CRC_PREFIX) :], 16)
-    except ValueError:
-        raise FormatError(path, "malformed checksum line") from None
-    if _checksum(body) != stated:
-        raise ChecksumMismatchError(path, "metrics checksum mismatch")
-    if lines[0] != _METRICS_HEADER:
-        raise FormatError(path, f"unexpected header {lines[0]!r}")
+    lines = _unseal(Path(path).read_bytes(), 0, path)
+    if lines[:1] != [_METRICS_HEADER]:
+        raise FormatError(path, f"unexpected header {''.join(lines[:1])!r}")
     records = []
-    for line in lines[1:-2]:
+    for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise FormatError(path, f"malformed row {line!r}")

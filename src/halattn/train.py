@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class TrainConfig:
             raise TrainError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.pooling not in POOLING_MODES:
             raise TrainError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-
-    def with_pooling(self, pooling: str) -> "TrainConfig":
-        return replace(self, pooling=pooling)
 
 
 _CONFIG_TYPES = typing.get_type_hints(TrainConfig)

@@ -7,6 +7,7 @@ else is desk-scale and finishes in well under two minutes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def imdb_run():
     results = {}
     for pooling in ("mean", "attention"):
         ckpt, records = fit(
-            train_set, val_set, table, _FULL_CONFIG.with_pooling(pooling),
+            train_set, val_set, table, replace(_FULL_CONFIG, pooling=pooling),
             test_set=enc_test,
         )
         results[pooling] = {
@@ -148,7 +149,7 @@ def test_criterion_3_desk_scale_ab():
     train_set, val_set = split(enc_train, cfg.val_fraction, cfg.seed)
     accuracy = {}
     for pooling in ("mean", "attention"):
-        ckpt, _ = fit(train_set, val_set, table, cfg.with_pooling(pooling))
+        ckpt, _ = fit(train_set, val_set, table, replace(cfg, pooling=pooling))
         accuracy[pooling] = evaluate(ckpt, enc_test, table)
     elapsed = time.perf_counter() - started
     ok = (

@@ -94,3 +94,38 @@ def test_every_argument_read_is_a_parameter(tracing):
         assert name in targets, f"_facts reads arguments of {name}, which no target wraps"
         params = inspect.signature(targets[name]).parameters
         assert args <= set(params), f"{name} lacks {sorted(args - set(params))}"
+
+
+def _halattn_name(module: str, name: str):
+    """`from module import name` for a halattn module, or None if it fails."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name, None)
+
+
+def test_benchmark_imports_resolve():
+    # perfbench/ also imports this package directly (checks.py calls store
+    # loaders, run.py calls cli.main), so a deleted or renamed name fails here
+    # rather than in a benchmark run.
+    checked, missing = set(), []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("halattn"):
+                for alias in node.names:
+                    value = _halattn_name(node.module, alias.name)
+                    checked.add(f"{node.module}.{alias.name}")
+                    if value is None:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                checked.add(f"{node.value.id}.{node.attr}")
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert {"store.load_vocab", "store.load_metrics", "cli.main"} <= checked
+    assert missing == []

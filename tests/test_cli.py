@@ -4,7 +4,7 @@ import pytest
 import halattn.train
 from synthetic import make_desk_corpus, split_desk_corpus, write_labeled_dir
 from test_train import diverge_in_epoch_two
-from halattn import store
+from halattn import cli, store
 from halattn.cli import main
 from halattn.linalg import EmbeddingTable
 
@@ -257,10 +257,21 @@ class TestTrainEvalAttend:
         ])
         assert code == 2
 
-    def test_flag_overrides_config(self, trained, workspace):
-        ckpt = store.load_checkpoint(trained / "attn.ckpt")
-        assert ckpt.config.pooling == "attention"  # config said attention too
-        assert ckpt.config.seed == 11
+    # each value differs from desk.cfg's and has the TrainConfig field's type
+    OVERRIDES = {"pooling": "mean", "seed": 3, "max_epochs": 7, "batch_size": 16,
+                 "learning_rate": 0.25, "patience": 2, "temperature": 0.5}
+
+    @pytest.mark.parametrize("name", list(OVERRIDES), ids=lambda name: "--" + name.replace("_", "-"))
+    def test_flag_overrides_config(self, workspace, name):
+        argv = ["train", "--data", "d", "--embeddings", "e", "--out", "o",
+                "--config", str(workspace / "desk.cfg")]
+        flag, value = "--" + name.replace("_", "-"), self.OVERRIDES[name]
+        config = cli._build_config(cli.build_parser().parse_args([*argv, flag, str(value)]))
+        assert getattr(config, name) == value
+        assert type(getattr(config, name)) is type(value)
+        unset = cli._build_config(cli.build_parser().parse_args(argv))
+        file_values = halattn.train.parse_config((workspace / "desk.cfg").read_text(), "desk.cfg")
+        assert getattr(unset, name) == file_values[name] != value
 
 
 class TestCompare:

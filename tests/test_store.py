@@ -251,6 +251,76 @@ def _artifact_files(tmp_path, vocab, table, pair, checkpoint, records):
     return paths
 
 
+def _digit_flipped(data, crc):
+    digit = data[crc + 7 : crc + 8]
+    return data[: crc + 7] + (b"1" if digit == b"0" else b"0") + data[crc + 8 :]
+
+
+# Corruptions of a text artifact and the error each must raise, whichever the
+# artifact; `crc` is where the checksum line starts.
+SEALED_TEXT_CORRUPTIONS = {
+    "cut-mid-body-line": (lambda d, crc: d[: crc - 2], store.TruncatedFileError),
+    "cut-mid-checksum-line": (lambda d, crc: d[: crc + 3], store.TruncatedFileError),
+    "cut-at-line-boundary": (lambda d, crc: d[:crc], store.TruncatedFileError),
+    "cut-to-empty": (lambda d, crc: b"", store.TruncatedFileError),
+    "line-after-checksum": (lambda d, crc: d + b"extra\n", store.FormatError),
+    "checksum-line-twice": (lambda d, crc: d + d[crc:], store.FormatError),
+    "no-crc64-prefix": (lambda d, crc: d[:crc] + b"#crc32 " + d[crc + 7 :], store.FormatError),
+    "non-hex-digit": (lambda d, crc: d[: crc + 7] + b"g" + d[crc + 8 :], store.FormatError),
+    "digit-flipped": (_digit_flipped, store.ChecksumMismatchError),
+    "body-line-inserted": (lambda d, crc: d[:crc] + b"3,0.5,0.5,0.5,,1.0\n" + d[crc:],
+                           store.ChecksumMismatchError),
+    "non-utf8-body-byte": (lambda d, crc: d[: crc - 2] + b"\xff" + d[crc - 1 :], store.FormatError),
+}
+
+
+def _corrupted(data: bytes, corruption: str) -> bytes:
+    return SEALED_TEXT_CORRUPTIONS[corruption][0](data, data.index(b"#crc64 "))
+
+
+class TestSealedTextCorruption:
+    """vocab.txt and metrics.csv end in the same `#crc64` line, so a corruption
+    raises the same error class from either loader."""
+
+    @pytest.mark.parametrize("corruption", list(SEALED_TEXT_CORRUPTIONS))
+    @pytest.mark.parametrize("kind", ["vocab", "metrics"])
+    def test_error_class(self, tmp_path, vocab, records, kind, corruption):
+        path = tmp_path / kind
+        if kind == "vocab":
+            store.save_vocab(vocab, path)
+        else:
+            store.save_metrics(records, path)
+        loader = {"vocab": store.load_vocab, "metrics": store.load_metrics}[kind]
+        path.write_bytes(_corrupted(path.read_bytes(), corruption))
+        with pytest.raises(SEALED_TEXT_CORRUPTIONS[corruption][1]):
+            loader(path)
+
+    def test_upper_case_checksum_digit_is_format_error(self, tmp_path, vocab):
+        # flipping bit 5 of a hex letter upper-cases it; int(..., 16) reads the
+        # same value, so only a strict digit check sees the changed byte
+        path = tmp_path / "vocab.txt"
+        data = bytearray(store.vocab_to_bytes(vocab))
+        crc = data.index(b"#crc64 ") + 7
+        data[next(i for i in range(crc, crc + 16) if data[i] >= ord("a"))] ^= 0x20
+        path.write_bytes(bytes(data))
+        with pytest.raises(store.FormatError, match="malformed checksum line"):
+            store.load_vocab(path)
+
+    @pytest.mark.parametrize("kind", ["cooc", "embeddings"])
+    def test_embedded_vocabulary_record_raises_the_same_class(self, pristine, kind):
+        # the vocabulary record of pair.cooc and emb.bin holds vocab.txt's bytes
+        loader, path, original = pristine[kind]
+        magic, layout = BINARY[kind], LAYOUTS[kind]
+        for corruption, (_, error) in SEALED_TEXT_CORRUPTIONS.items():
+            path.write_bytes(original)
+            records = store._load_records(path, magic, layout)
+            corrupted = _corrupted(records["vocab"].tobytes(), corruption)
+            records["vocab"] = np.frombuffer(corrupted, dtype=np.uint8)
+            store._save_records(path, magic, records)
+            with pytest.raises(error):
+                loader(path)
+
+
 class TestCorruptionDetection:
     def test_every_single_byte_flip_detected(
         self, tmp_path, vocab, table, pair, checkpoint, records
