@@ -12,8 +12,10 @@ the working tree. The parent is the committed files of
 --parent, unpacked with `git archive` into a temporary directory, so it
 builds from its own source and leaves nothing in `.git`. The side that runs
 first alternates from one pair to the next. Each run's last stdout line must
-be its result object; the script exits 1 if any run's is not, or if any run
-reports failed operations. --trace 1 records the runs under "traced"
+be its result object; the script exits 1 if any run's is not, if any run
+reports failed operations, or if runs report different `nproc` or
+`blas_threads`: the file keeps one environment line, and timings depend on
+both. --trace 1 records the runs under "traced"
 instead of "pairs"; an existing --out file keeps its other key.
 """
 
@@ -28,6 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Environment fields the timings depend on; every run in one file must agree on them.
+SAME_ENVIRONMENT = ("nproc", "blas_threads")
 
 
 def seeds(text: str) -> list[int]:
@@ -65,6 +69,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
     if result["failed"]:
         return env, result, f"{result['failed']} failed operations: {proc.stderr.strip()[-500:]}"
     return env, result, None
+
+
+def environment_problem(kept: dict, env: dict | None) -> str | None:
+    """What in a run's environment line differs from the kept one, if anything."""
+    differ = [f"{key} {env.get(key)!r}, not {kept.get(key)!r}" for key in SAME_ENVIRONMENT
+              if env is not None and env.get(key) != kept.get(key)]
+    return f"environment differs from the first run's: {'; '.join(differ)}" if differ else None
 
 
 def summary(runs: list[dict]) -> list[str]:
@@ -134,9 +145,10 @@ def main(argv=None) -> int:
                     if args.trace:
                         run["trace"] = 1
                     runs.append(run)
-                    if problem:
-                        problems.append(f"{side} {workload} seed {seed}: {problem}")
-                        print(f"problem: {problems[-1]}", file=sys.stderr)
+                    for found in (problem, environment_problem(doc.get("environment", {}), env)):
+                        if found:
+                            problems.append(f"{side} {workload} seed {seed}: {found}")
+                            print(f"problem: {problems[-1]}", file=sys.stderr)
                     print(f"{side:<6} {workload:<11} {seed}: "
                           f"{(result or {}).get('metrics', {}).get('wall_s', {}).get('value')}",
                           file=sys.stderr)

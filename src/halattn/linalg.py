@@ -4,11 +4,14 @@ The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
 Gaussian test matrix and power iterations, each product re-orthonormalized
 by panelled CGS2, then an exact SVD of the small projected matrix by
 QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
-round-robin order.
+round-robin order. Products with the sparse matrix and an explicit CSR of its
+transpose run as row blocks, one per available core, to the same bits as one block.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 _PANEL = 8  # columns _cgs2 projects per matrix product
+# threads, and row blocks, per sparse product: the cores this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class LinalgError(Exception):
@@ -154,31 +159,50 @@ def _one_sided_jacobi(
     return q @ u_r.T, s, cols[:n, size : size + n].T
 
 
-def truncated_svd(
-    matrix: sp.csr_matrix,
-    k: int,
-    oversample: int = 10,
-    power_iters: int = 2,
-    seed: int = 0,
-) -> SvdResult:
+def _row_blocks(matrix: sp.csr_matrix) -> list[tuple[int, int, sp.csr_matrix]]:
+    """(start, stop, rows start:stop) for up to _WORKERS row ranges of about equal nnz. Each
+    block views the matrix's arrays, set after construction: the constructor copies slices."""
+    indptr = matrix.indptr
+    cuts = np.searchsorted(indptr, np.arange(1, _WORKERS) * (indptr[-1] / _WORKERS))
+    bounds = np.unique(np.r_[0, cuts, matrix.shape[0]])
+    blocks = [(a, b, sp.csr_matrix((b - a, matrix.shape[1]))) for a, b in zip(bounds, bounds[1:])]
+    for a, b, block in blocks:
+        lo, hi = indptr[a], indptr[b]
+        block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+        block.indptr = indptr[a : b + 1] - lo
+    return blocks
+
+
+def _product(blocks: list, x: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
+    """The blocked matrix times x, one thread per row block. scipy's CSR kernel sums each
+    row alone and in order, so the bits are those of the unblocked product."""
+    x, out = np.ascontiguousarray(x), np.empty((blocks[-1][1], x.shape[1]))
+    def fill(block):
+        out[block[0] : block[1]] = block[2] @ x
+    list(pool.map(fill, blocks))
+    return out
+
+
+def truncated_svd(matrix: sp.csr_matrix, k: int, oversample: int = 10, power_iters: int = 2,
+                  seed: int = 0) -> SvdResult:
     """Rank-k randomized SVD of a sparse matrix, deterministic given the seed."""
     rows, cols = matrix.shape
     if k < 1:
         raise LinalgError(f"k must be >= 1, got {k}")
     sample = k + oversample
     if sample > min(rows, cols):
-        raise LinalgError(
-            f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}"
-        )
+        raise LinalgError(f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((cols, sample))
-    q = _cgs2(np.asarray(matrix @ omega))
-    for _ in range(power_iters):
-        q = _cgs2(np.asarray(matrix.T @ q))
-        q = _cgs2(np.asarray(matrix @ q))
-    if q.shape[1] < k:
-        raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
-    b = np.asarray(matrix.T @ q).T  # (sample, cols)
+    a, at = _row_blocks(matrix), _row_blocks(matrix.T.tocsr())
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        q = _cgs2(_product(a, omega, pool))
+        for _ in range(power_iters):
+            q = _cgs2(_product(at, q, pool))
+            q = _cgs2(_product(a, q, pool))
+        if q.shape[1] < k:
+            raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
+        b = _product(at, q, pool).T  # (sample, cols)
     u_small, s, v_small = _one_sided_jacobi(b.T)
     # b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
     order = np.argsort(-s, kind="stable")[:k]

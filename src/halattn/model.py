@@ -174,9 +174,10 @@ def _pool(
     else:
         g = None
         alphas = mask / counts[:, None]
-    # Row b of this (B, U) matrix holds alphas[b] at the columns inv[b], real slots only.
+    # Row b of this (B, U) matrix holds alphas[b] at the columns inv[b], real slots
+    # only. int32 indices, as inv's are, spare scipy's index scan and downcast copy.
     weights = sp.csr_matrix(
-        (alphas[mask], inv[mask], np.concatenate(([0], np.cumsum(counts)))),
+        (alphas[mask], inv[mask], np.concatenate(([0], np.cumsum(counts))).astype(np.int32)),
         shape=(mask.shape[0], rows.shape[0]),
     )
     return weights @ rows, alphas, g
@@ -191,7 +192,7 @@ def pool_sequence(
     """
     x = np.asarray(x, dtype=np.float64)
     pooled, alphas, _ = _pool(
-        x, np.arange(x.shape[0])[None], np.asarray(mask, bool)[None],
+        x, np.arange(x.shape[0], dtype=np.int32)[None], np.asarray(mask, bool)[None],
         params, pooling, temperature,
     )
     return pooled[0], alphas[0]
@@ -265,7 +266,7 @@ def _gather_batch(
     ids, mask, labels = batch.ids, batch.mask, batch.labels
     present = np.zeros(embeddings.size, dtype=bool)
     present[ids[mask]] = True
-    inv = np.where(mask, np.cumsum(present)[ids] - 1, 0)
+    inv = np.where(mask, np.cumsum(present, dtype=np.int32)[ids] - 1, 0)
     return embeddings.gather(np.flatnonzero(present)), inv, mask, labels
 
 

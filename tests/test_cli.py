@@ -4,7 +4,7 @@ import pytest
 import halattn.train
 from synthetic import make_desk_corpus, split_desk_corpus, write_labeled_dir
 from test_train import diverge_in_epoch_two
-from halattn import cli, store
+from halattn import cli, linalg, store
 from halattn.cli import main
 from halattn.linalg import EmbeddingTable
 
@@ -174,6 +174,19 @@ class TestPipelineArtifacts:
         table, _ = store.load_embeddings(out)
         norms = np.linalg.norm(table.vectors.astype(np.float64), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_svd_bytes_do_not_depend_on_core_count(self, workspace, tmp_path, monkeypatch,
+                                                   workers):
+        # the same arguments as the workspace's emb.bin, on 1 or 2 threads
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        out = tmp_path / "emb.bin"
+        assert main([
+            "svd", "--cooc", str(workspace / "pair.cooc"), "--dim", "24",
+            "--oversample", "8", "--power-iters", "2", "--seed", "5",
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == (workspace / "emb.bin").read_bytes()
 
 
 @pytest.fixture(scope="module")

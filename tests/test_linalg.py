@@ -1,9 +1,12 @@
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from halattn import linalg
 from halattn.linalg import (
     ConvergenceError,
     EmbeddingTable,
@@ -11,6 +14,8 @@ from halattn.linalg import (
     SvdResult,
     _cgs2,
     _one_sided_jacobi,
+    _product,
+    _row_blocks,
     embed,
     truncated_svd,
 )
@@ -205,6 +210,69 @@ class TestTruncatedSvd:
             truncated_svd(sparse, k=0)
         with pytest.raises(LinalgError):
             truncated_svd(sparse, k=8, oversample=5)
+
+
+def ragged_csr(rng):
+    """14 x 9 CSR with empty leading and trailing rows and one row holding most
+    nonzeros, so that splits by nnz leave some blocks with none. Magnitudes
+    spread over 16 decades, so a change in summation order changes the bits."""
+    dense = np.zeros((14, 9))
+    for row, count in ((2, 3), (3, 9), (5, 1), (9, 4), (11, 2)):
+        cols = rng.choice(9, size=count, replace=False)
+        dense[row, cols] = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
+    return sp.csr_matrix(dense)
+
+
+WORKER_COUNTS = (1, 2, 3, 40)  # 40 is more than ragged_csr's rows
+
+
+class TestRowBlockedProduct:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_equals_the_unblocked_products(self, rng, monkeypatch, workers):
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        matrix = ragged_csr(rng)
+        x = rng.standard_normal((9, 5)) * 10.0 ** rng.uniform(-8, 8, (9, 5))
+        q = np.asfortranarray(rng.standard_normal((14, 5)))  # _cgs2 returns this layout
+        blocks, t_blocks = _row_blocks(matrix), _row_blocks(matrix.T.tocsr())
+        for _, _, block in blocks:  # views of the matrix's own arrays, not copies
+            assert block.nnz == 0 or np.shares_memory(block.data, matrix.data)
+        with ThreadPoolExecutor(workers) as pool:
+            assert np.array_equal(_product(blocks, x, pool), matrix @ x)
+            assert np.array_equal(_product(t_blocks, q, pool), matrix.T @ q)
+
+    def test_splits_cover_every_row_once_and_leave_some_block_empty(self, rng, monkeypatch):
+        matrix, empty_blocks = ragged_csr(rng), 0
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(linalg, "_WORKERS", workers)
+            blocks = _row_blocks(matrix)
+            assert len(blocks) <= workers
+            assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks][:-1]
+            assert sum(block.nnz for _, _, block in blocks) == matrix.nnz
+            empty_blocks += sum(block.nnz == 0 for _, _, block in blocks)
+        assert empty_blocks > 0
+
+    def test_svd_bits_do_not_depend_on_worker_count(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        matrix = sp.random(300, 500, density=0.05, format="csr", rng=rng)
+        results = []
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(linalg, "_WORKERS", workers)
+            results.append(truncated_svd(matrix, k=12, seed=4))
+        for other in results[1:]:
+            assert np.array_equal(other.u, results[0].u)
+            assert np.array_equal(other.singular_values, results[0].singular_values)
+            assert np.array_equal(other.vt, results[0].vt)
+
+    def test_no_thread_outlives_a_call(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        before = threading.active_count()
+        truncated_svd(sp.csr_matrix(decaying_matrix(rng, 30, 45)), k=5, seed=0)
+        assert threading.active_count() == before
+        rank_two = sp.csr_matrix(np.outer(rng.standard_normal(30), rng.standard_normal(45))
+                                 + np.outer(rng.standard_normal(30), rng.standard_normal(45)))
+        with pytest.raises(LinalgError, match="rank"):
+            truncated_svd(rank_two, k=4, oversample=2, seed=0)
+        assert threading.active_count() == before
 
 
 class TestEmbed:
