@@ -81,6 +81,7 @@ def _cmd_build_hal(args) -> int:
 def _cmd_svd(args) -> int:
     pair, vocab = store.load_cooc(args.cooc)
     matrix = concat_pair(pair)
+    del pair  # the SVD needs only the concatenation
     result = truncated_svd(
         matrix, k=args.dim, oversample=args.oversample,
         power_iters=args.power_iters, seed=args.seed,

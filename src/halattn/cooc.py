@@ -3,7 +3,8 @@
 Each ordered token pair (context at position j, target at position i, j < i,
 d = i - j <= window) contributes weight 1/d to left[target][context]. Only
 left is accumulated and stored; the right matrix, right[context][target],
-is derived as left.T rather than accumulated.
+is derived as left.T rather than accumulated. Left is summed one distance at
+a time, so the working memory is one distance's pairs plus the running sum.
 """
 
 from __future__ import annotations
@@ -60,57 +61,39 @@ def hal_weight(d: int, window: int) -> float:
     return 0.0
 
 
-def _merge_distance_counts(
-    per_distance: list[tuple[np.ndarray, np.ndarray]], window: int, vocab_size: int
-) -> sp.csr_matrix:
-    """Combine per-distance integer pair counts into one weighted CSR.
-
-    Counts are exact integers, so the result is independent of document
-    order; the 1/d weighting is applied in ascending-distance order.
-    """
-    all_keys = np.concatenate([k for k, _ in per_distance])
-    weighted = np.concatenate(
-        [cnt.astype(np.float64) * hal_weight(d + 1, window) for d, (_, cnt) in enumerate(per_distance)]
-    )
-    unique_keys, inverse = np.unique(all_keys, return_inverse=True)
-    totals = np.zeros(unique_keys.shape[0], dtype=np.float64)
-    np.add.at(totals, inverse, weighted)
-    # Keys are row*V+col in ascending order, so rows and columns come out sorted.
-    rows = unique_keys // vocab_size
-    offsets = np.searchsorted(rows, np.arange(vocab_size + 1))
-    return sp.csr_matrix((totals, unique_keys % vocab_size, offsets), shape=(vocab_size, vocab_size))
-
-
 def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     """Accumulate directional co-occurrence counts over encoded documents.
 
     Windows never cross document boundaries and padded positions contribute
-    nothing. Pair counts are gathered per distance as exact integers, so the
-    result is bitwise independent of document order.
+    nothing. Each distance d is counted on its own: its (target, context) keys
+    come straight from the (N, T) id rows, np.unique counts them as exact
+    integers, and their CSR, weighted 1/d, is added to the running sum. An
+    entry is thus its weighted counts added in ascending d, bitwise independent
+    of document order, and no array spans two distances: beside the sum, the
+    transient is a few int64 arrays the size of one distance's pairs.
     """
     if not len(corpus):
         raise CoocError("corpus is empty")
     if window < 1:
         raise CoocError(f"window must be >= 1, got {window}")
-    mask = corpus.mask
-    bad = np.flatnonzero((mask & ((corpus.ids < 0) | (corpus.ids >= vocab_size))).any(axis=1))
+    ids, lengths = corpus.ids, corpus.lengths
+    bad = np.flatnonzero((corpus.mask & ((ids < 0) | (ids >= vocab_size))).any(axis=1))
     if bad.size:
         raise CoocError(f"document {bad[0]} contains an id outside [0, {vocab_size})")
-    flat = corpus.ids[mask].astype(np.int64)  # each document's real ids, one after another
-    starts = np.concatenate(([0], np.cumsum(corpus.lengths)[:-1]))
-    start_of = np.repeat(starts, corpus.lengths)
-    positions = np.arange(flat.size, dtype=np.int64)
 
-    V = vocab_size
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for d in range(1, window + 1):
-        valid = positions - d >= start_of
-        targets = flat[valid]
-        contexts = flat[positions[valid] - d]
-        parts.append(np.unique(targets * V + contexts, return_counts=True))
-    return CoocPair(left=_merge_distance_counts(parts, window, V), window=window)
+    V, T = vocab_size, ids.shape[1]
+    left = sp.csr_matrix((V, V))
+    for d in range(1, min(window, T - 1) + 1):
+        real = np.arange(d, T) < lengths[:, None]  # target slot d + j is a real token
+        keys = ids[:, d:][real].astype(np.int64) * V + ids[:, : T - d][real]
+        keys, counts = np.unique(keys, return_counts=True)
+        # Keys are row*V+col in ascending order, so rows and columns come out sorted.
+        offsets = np.searchsorted(keys // V, np.arange(V + 1))
+        left = left + sp.csr_matrix((counts * hal_weight(d, window), keys % V, offsets), shape=(V, V))
+    return CoocPair(left=left, window=window)
 
 
 def concat_pair(pair: CoocPair) -> sp.csr_matrix:
-    """Materialize the V x 2V CSR concatenation [left | right]."""
-    return sp.hstack([pair.left, pair.left.T], format="csr")
+    """Materialize the V x 2V CSR concatenation [left | right]. Both blocks are CSR, so
+    scipy joins their rows directly, with no COO intermediate."""
+    return sp.hstack([pair.left, pair.right], format="csr")

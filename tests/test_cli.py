@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,11 @@ class TestPipelineArtifacts:
         pair, cooc_vocab = store.load_cooc(workspace / "pair.cooc")
         assert cooc_vocab.tokens == vocab.tokens
         assert pair.window == 4
+
+    def test_cooc_bytes_are_pinned(self, workspace):
+        # Integer counts and scalar float adds, no BLAS: the same bytes on every platform.
+        digest = hashlib.sha256((workspace / "pair.cooc").read_bytes()).hexdigest()
+        assert digest == "fdcf779fff80425c04e1fc3a7473ab92e1f02485e1999d7d1d36337bec93aa0a"
 
     def test_svd_normalize_flag(self, workspace, tmp_path):
         out = tmp_path / "unit.bin"

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from halattn.corpus import EncodedSet
 from halattn.cooc import CoocError, build_cooc, concat_pair, hal_weight
 from synthetic import encoded_set
 
@@ -19,6 +23,69 @@ def brute_force_pair(docs, vocab_size, window):
                 left[ids[i], ids[j]] += w
                 right[ids[j], ids[i]] += w
     return left, right
+
+
+def merged_once_left(corpus, vocab_size, window):
+    """Reference: every distance's pair keys merged in one global sort.
+
+    Each distance's keys are counted by np.unique over the concatenated real
+    tokens; all distances' keys are then sorted together again and their 1/d
+    weighted counts scattered into zeros by np.add.at, in ascending d.
+    """
+    flat = corpus.ids[corpus.mask].astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(corpus.lengths)[:-1]))
+    start_of = np.repeat(starts, corpus.lengths)
+    positions = np.arange(flat.size, dtype=np.int64)
+    keys, weighted = [], []
+    for d in range(1, window + 1):
+        valid = positions - d >= start_of
+        k, counts = np.unique(flat[valid] * vocab_size + flat[positions[valid] - d],
+                              return_counts=True)
+        keys.append(k)
+        weighted.append(counts.astype(np.float64) * hal_weight(d, window))
+    unique_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    totals = np.zeros(unique_keys.shape[0], dtype=np.float64)
+    np.add.at(totals, inverse, np.concatenate(weighted))
+    offsets = np.searchsorted(unique_keys // vocab_size, np.arange(vocab_size + 1))
+    return sp.csr_matrix((totals, unique_keys % vocab_size, offsets),
+                         shape=(vocab_size, vocab_size))
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+@st.composite
+def padded_corpora(draw):
+    """(EncodedSet, vocab_size, window): 1..8 documents over ids [0, V), right-padded by
+    0..3 slots, with a window from 1 to 2 past the row length."""
+    vocab_size = draw(st.integers(1, 9))
+    docs = draw(st.lists(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=12),
+                         min_size=1, max_size=8))
+    seq_len = max(map(len, docs)) + draw(st.integers(0, 3))
+    return encoded_set(docs, seq_len=seq_len), vocab_size, draw(st.integers(1, seq_len + 2))
+
+
+def zipf_corpus(n_docs, seq_len, vocab_size, seed):
+    """Seeded Zipfian ids (rank r drawn with weight 1/r), lengths from seq_len/2 to seq_len."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, vocab_size + 1)
+    ids = rng.choice(vocab_size, size=(n_docs, seq_len), p=weights / weights.sum())
+    lengths = rng.integers(seq_len // 2, seq_len + 1, n_docs)
+    ids[np.arange(seq_len) >= lengths[:, None]] = 0
+    return EncodedSet(ids=ids.astype(np.int32), lengths=lengths, labels=np.zeros(n_docs, np.int64))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestHalWeight:
@@ -122,6 +189,25 @@ class TestBuildCooc:
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
 
+    @given(padded_corpora())
+    @example((encoded_set([[0, 1, 2]]), 3, 3))  # window == T
+    @example((encoded_set([[2, 0, 2]]), 3, 7))  # window > T
+    @example((encoded_set([[0], [1]], seq_len=1), 2, 2))  # T == 1
+    @example((encoded_set([[1], [0, 4, 4], [4]]), 5, 2))  # length-1 documents, id V - 1
+    @example((encoded_set([[0, 1], [1, 1]], seq_len=5), 2, 4))  # distances 2..4 have no pairs
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_global_merge_bitwise(self, case):
+        docs, vocab_size, window = case
+        assert_same_csr(build_cooc(docs, vocab_size, window).left,
+                        merged_once_left(docs, vocab_size, window))
+
+    def test_peak_memory_at_most_half_of_one_global_merge(self):
+        docs = zipf_corpus(1500, 200, 2000, seed=0)
+        assert_same_csr(build_cooc(docs, 2000, 5).left, merged_once_left(docs, 2000, 5))
+        ours = traced_peak(build_cooc, docs, 2000, 5)
+        reference = traced_peak(merged_once_left, docs, 2000, 5)
+        assert ours <= reference / 2, (ours, reference)
+
     def test_mass_conservation_closed_form(self):
         rng = np.random.default_rng(5)
         window = 4
@@ -149,3 +235,4 @@ class TestConcatRow:
         assert matrix.shape == (3, 6)
         left = pair.left.toarray()
         assert np.array_equal(matrix.toarray(), np.hstack([left, left.T]))
+        assert_same_csr(matrix, sp.hstack([pair.left, pair.left.T], format="csr"))
