@@ -80,10 +80,8 @@ def _cmd_build_hal(args) -> int:
 
 def _cmd_svd(args) -> int:
     pair, vocab = store.load_cooc(args.cooc)
-    matrix = concat_pair(pair)
-    del pair  # the SVD needs only the concatenation
     result = truncated_svd(
-        matrix, k=args.dim, oversample=args.oversample,
+        concat_pair(pair), k=args.dim, oversample=args.oversample,
         power_iters=args.power_iters, seed=args.seed,
     )
     table = embed(result, normalize=args.normalize)

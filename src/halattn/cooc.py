@@ -2,9 +2,9 @@
 
 Each ordered token pair (context at position j, target at position i, j < i,
 d = i - j <= window) contributes weight 1/d to left[target][context]. Only
-left is accumulated and stored; the right matrix, right[context][target],
-is derived as left.T rather than accumulated. Left is summed one distance at
-a time, so the working memory is one distance's pairs plus the running sum.
+left is accumulated and stored; right[context][target] is left.T, and the SVD
+takes [left | right] as two CSR blocks, never joined. Left is summed one
+distance at a time: the working memory is one distance's pairs and the sum.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     return CoocPair(left=left, window=window)
 
 
-def concat_pair(pair: CoocPair) -> sp.csr_matrix:
-    """Materialize the V x 2V CSR concatenation [left | right]. Both blocks are CSR, so
-    scipy joins their rows directly, with no COO intermediate."""
-    return sp.hstack([pair.left, pair.right], format="csr")
+def concat_pair(pair: CoocPair) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+    """[left | right] as truncated_svd's column blocks, each beside the CSR of its transpose:
+    [(left, right), (right, left)]. Only right = left.T is built; the V x 2V matrix is not."""
+    right = pair.right
+    return [(pair.left, right), (right, pair.left)]

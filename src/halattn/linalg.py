@@ -4,8 +4,9 @@ The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
 Gaussian test matrix and power iterations, each product re-orthonormalized
 by panelled CGS2, then an exact SVD of the small projected matrix by
 QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
-round-robin order. Products with the sparse matrix and an explicit CSR of its
-transpose run as row blocks, one per available core, to the same bits as one block.
+round-robin order. The sparse matrix comes as CSR column blocks, each beside a
+CSR of its transpose, so neither the joined matrix nor its transpose is built.
+Products run on row ranges, one per available core, to the joined CSR's bits.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 _PANEL = 8  # columns _cgs2 projects per matrix product
-# threads, and row blocks, per sparse product: the cores this process may run on
+# threads, and row ranges, per sparse product: the cores this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -159,34 +161,31 @@ def _one_sided_jacobi(
     return q @ u_r.T, s, cols[:n, size : size + n].T
 
 
-def _row_blocks(matrix: sp.csr_matrix) -> list[tuple[int, int, sp.csr_matrix]]:
-    """(start, stop, rows start:stop) for up to _WORKERS row ranges of about equal nnz. Each
-    block views the matrix's arrays, set after construction: the constructor copies slices."""
-    indptr = matrix.indptr
+def _product(blocks: list[sp.csr_matrix], x: np.ndarray, out: np.ndarray,
+             pool: ThreadPoolExecutor) -> np.ndarray:
+    """Add [B_1 | ... | B_m] @ x into out, one thread per row range of about equal nnz. Each row
+    is summed in stored order, block after block, so a zeroed out gets the joined CSR's bits."""
+    x, offsets = np.ascontiguousarray(x), np.cumsum([0] + [block.shape[1] for block in blocks])
+    indptr = sum(block.indptr.astype(np.int64) for block in blocks)  # the joined CSR's
     cuts = np.searchsorted(indptr, np.arange(1, _WORKERS) * (indptr[-1] / _WORKERS))
-    bounds = np.unique(np.r_[0, cuts, matrix.shape[0]])
-    blocks = [(a, b, sp.csr_matrix((b - a, matrix.shape[1]))) for a, b in zip(bounds, bounds[1:])]
-    for a, b, block in blocks:
-        lo, hi = indptr[a], indptr[b]
-        block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
-        block.indptr = indptr[a : b + 1] - lo
-    return blocks
-
-
-def _product(blocks: list, x: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
-    """The blocked matrix times x, one thread per row block. scipy's CSR kernel sums each
-    row alone and in order, so the bits are those of the unblocked product."""
-    x, out = np.ascontiguousarray(x), np.empty((blocks[-1][1], x.shape[1]))
-    def fill(block):
-        out[block[0] : block[1]] = block[2] @ x
-    list(pool.map(fill, blocks))
+    bounds = np.unique(np.r_[0, cuts, len(indptr) - 1])
+    def fill(a, b):
+        for block, lo, hi in zip(blocks, offsets, offsets[1:]):
+            csr_matvecs(b - a, hi - lo, x.shape[1], block.indptr[a : b + 1], block.indices,
+                        block.data, x[lo:hi].ravel(), out[a:b].ravel())
+    list(pool.map(fill, bounds[:-1], bounds[1:]))
     return out
 
 
-def truncated_svd(matrix: sp.csr_matrix, k: int, oversample: int = 10, power_iters: int = 2,
-                  seed: int = 0) -> SvdResult:
-    """Rank-k randomized SVD of a sparse matrix, deterministic given the seed."""
-    rows, cols = matrix.shape
+def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int, oversample: int = 10,
+                  power_iters: int = 2, seed: int = 0) -> SvdResult:
+    """Rank-k randomized SVD of A = [B_1 | ... | B_m], deterministic given the seed. blocks
+    holds each column block as (B_j, a CSR of B_j.T); A.T @ y is the row stack of B_j.T @ y."""
+    a, at = [b for b, _ in blocks], [bt for _, bt in blocks]
+    if not a or any(b.shape[0] != a[0].shape[0] or bt.shape != b.shape[::-1] for b, bt in blocks):
+        raise LinalgError("blocks must be (B_j, B_j.T) pairs, at least one, all B_j of one height; "
+                          f"got shapes {[(b.shape, bt.shape) for b, bt in blocks]}")
+    rows, cols = a[0].shape[0], sum(b.shape[1] for b in a)
     if k < 1:
         raise LinalgError(f"k must be >= 1, got {k}")
     sample = k + oversample
@@ -194,24 +193,26 @@ def truncated_svd(matrix: sp.csr_matrix, k: int, oversample: int = 10, power_ite
         raise LinalgError(f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((cols, sample))
-    a, at = _row_blocks(matrix), _row_blocks(matrix.T.tocsr())
     with ThreadPoolExecutor(_WORKERS) as pool:
-        q = _cgs2(_product(a, omega, pool))
+        def times_t(y):  # A.T @ y, each B_j.T @ y written into its own rows
+            out = np.zeros((cols, y.shape[1]))
+            for bt, rows_j in zip(at, np.vsplit(out, np.cumsum([b.shape[1] for b in a])[:-1])):
+                _product([bt], y, rows_j, pool)
+            return out
+        q = _cgs2(_product(a, omega, np.zeros((rows, sample)), pool))
         for _ in range(power_iters):
-            q = _cgs2(_product(at, q, pool))
-            q = _cgs2(_product(a, q, pool))
+            q = _cgs2(times_t(q))
+            q = _cgs2(_product(a, q, np.zeros((rows, q.shape[1])), pool))
         if q.shape[1] < k:
             raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
-        b = _product(at, q, pool).T  # (sample, cols)
+        b = times_t(q).T  # (sample, cols)
     u_small, s, v_small = _one_sided_jacobi(b.T)
     # b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
     order = np.argsort(-s, kind="stable")[:k]
     s_k = s[order]
     if s_k[-1] == 0.0:
         raise LinalgError(f"matrix rank is below k = {k}")
-    u = q @ v_small[:, order]
-    vt = u_small[:, order].T
-    result = SvdResult(u=u, singular_values=s_k, vt=vt)
+    result = SvdResult(u=q @ v_small[:, order], singular_values=s_k, vt=u_small[:, order].T)
     result.validate()
     return result
 

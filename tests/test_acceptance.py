@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import imdb_root, requires_imdb
-from synthetic import DESK_CONFIG, encoded_set, make_desk_corpus, split_desk_corpus
+from synthetic import DESK_CONFIG, encoded_set, make_desk_corpus, one_block, split_desk_corpus
 from test_gradients import max_gradient_error
 from test_model import params_with, scored_sequence
 
@@ -240,7 +240,7 @@ def test_criterion_6_svd_oracle():
         dense = (u * spectrum) @ v.T
         oversample = min(10, r - k)
         result = truncated_svd(
-            sp.csr_matrix(dense), k,
+            one_block(sp.csr_matrix(dense)), k,
             oversample=oversample, power_iters=2, seed=trial,
         )
         oracle = np.linalg.svd(dense, compute_uv=False)

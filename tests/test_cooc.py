@@ -230,9 +230,10 @@ class TestBuildCooc:
 class TestConcatRow:
     def test_concat_pair_matches_rows(self):
         pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
-        matrix = concat_pair(pair)
-        assert matrix.format == "csr" and matrix.has_canonical_format
-        assert matrix.shape == (3, 6)
-        left = pair.left.toarray()
-        assert np.array_equal(matrix.toarray(), np.hstack([left, left.T]))
-        assert_same_csr(matrix, sp.hstack([pair.left, pair.left.T], format="csr"))
+        (left, right), (right_again, left_again) = concat_pair(pair)
+        assert left is pair.left and left_again is pair.left  # shared, not copied
+        assert right is right_again
+        assert right.format == "csr" and right.has_canonical_format
+        assert_same_csr(right, pair.right)
+        joined = sp.hstack([left, right], format="csr").toarray()
+        assert np.array_equal(joined, np.hstack([pair.left.toarray(), pair.left.toarray().T]))

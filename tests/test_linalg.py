@@ -5,8 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
+
+from synthetic import encoded_set, one_block
 
 from halattn import linalg
+from halattn.cooc import build_cooc, concat_pair
 from halattn.linalg import (
     ConvergenceError,
     EmbeddingTable,
@@ -15,7 +19,6 @@ from halattn.linalg import (
     _cgs2,
     _one_sided_jacobi,
     _product,
-    _row_blocks,
     embed,
     truncated_svd,
 )
@@ -144,14 +147,14 @@ class TestOneSidedJacobi:
 class TestTruncatedSvd:
     def test_diagonal(self):
         sparse = sp.csr_matrix(np.diag([5.0, 3.0, 1.0]))
-        result = truncated_svd(sparse, k=2, oversample=1, power_iters=2, seed=0)
+        result = truncated_svd(one_block(sparse), k=2, oversample=1, power_iters=2, seed=0)
         np.testing.assert_allclose(result.singular_values, [5.0, 3.0], rtol=1e-12)
 
     def test_rank_one(self, rng):
         a = rng.standard_normal(12)
         b = rng.standard_normal(9)
         sparse = sp.csr_matrix(np.outer(a, b))
-        result = truncated_svd(sparse, k=1, oversample=5, power_iters=1, seed=1)
+        result = truncated_svd(one_block(sparse), k=1, oversample=5, power_iters=1, seed=1)
         sigma = np.linalg.norm(a) * np.linalg.norm(b)
         np.testing.assert_allclose(result.singular_values[0], sigma, rtol=1e-10)
         recon = (result.u * result.singular_values) @ result.vt
@@ -160,7 +163,7 @@ class TestTruncatedSvd:
     def test_random_matrix_against_dense_oracle(self, rng):
         dense = decaying_matrix(rng, 50, 80)
         sparse = sp.csr_matrix(dense)
-        result = truncated_svd(sparse, k=10, oversample=10, power_iters=2, seed=2)
+        result = truncated_svd(one_block(sparse), k=10, oversample=10, power_iters=2, seed=2)
         oracle = np.linalg.svd(dense, compute_uv=False)
         np.testing.assert_allclose(result.singular_values, oracle[:10], rtol=1e-6)
         recon = (result.u * result.singular_values) @ result.vt
@@ -169,7 +172,7 @@ class TestTruncatedSvd:
 
     def test_orthonormality_and_monotone_spectrum(self, rng):
         dense = decaying_matrix(rng, 40, 60, ratio=0.85)
-        result = truncated_svd(sp.csr_matrix(dense), k=8, seed=3)
+        result = truncated_svd(one_block(sp.csr_matrix(dense)), k=8, seed=3)
         result.validate()  # orthonormality within 1e-8, non-increasing spectrum
         s = result.singular_values
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
@@ -177,8 +180,8 @@ class TestTruncatedSvd:
     def test_seed_determinism_bitwise(self, rng):
         dense = decaying_matrix(rng, 30, 45)
         sparse = sp.csr_matrix(dense)
-        first = truncated_svd(sparse, k=5, seed=42)
-        second = truncated_svd(sparse, k=5, seed=42)
+        first = truncated_svd(one_block(sparse), k=5, seed=42)
+        second = truncated_svd(one_block(sparse), k=5, seed=42)
         assert np.array_equal(first.u, second.u)
         assert np.array_equal(first.singular_values, second.singular_values)
         assert np.array_equal(first.vt, second.vt)
@@ -186,8 +189,8 @@ class TestTruncatedSvd:
     def test_different_seeds_differ(self, rng):
         dense = decaying_matrix(rng, 30, 45)
         sparse = sp.csr_matrix(dense)
-        first = truncated_svd(sparse, k=5, seed=1)
-        second = truncated_svd(sparse, k=5, seed=2)
+        first = truncated_svd(one_block(sparse), k=5, seed=1)
+        second = truncated_svd(one_block(sparse), k=5, seed=2)
         assert not np.array_equal(first.u, second.u)
         # but the factorization itself agrees
         np.testing.assert_allclose(
@@ -200,16 +203,32 @@ class TestTruncatedSvd:
         left = sp.random(2000, 105, density=0.05, format="csr", rng=rng)
         right = sp.random(105, 4000, density=0.05, format="csr", rng=rng)
         matrix = (left @ right).tocsr()
-        result = truncated_svd(matrix, k=100, oversample=10, power_iters=2, seed=0)
+        result = truncated_svd(one_block(matrix), k=100, oversample=10, power_iters=2, seed=0)
         oracle = lapack_singular_values(matrix.toarray())
         np.testing.assert_allclose(result.singular_values, oracle[:100], rtol=1e-6)
 
     def test_k_out_of_range(self, rng):
         sparse, _ = random_sparse(rng, 10, 12)
         with pytest.raises(LinalgError):
-            truncated_svd(sparse, k=0)
+            truncated_svd(one_block(sparse), k=0)
         with pytest.raises(LinalgError):
-            truncated_svd(sparse, k=8, oversample=5)
+            truncated_svd(one_block(sparse), k=8, oversample=5)
+
+    def test_empty_block_list(self):
+        with pytest.raises(LinalgError, match="at least one"):
+            truncated_svd([], k=1)
+
+    def test_blocks_of_different_heights(self, rng):
+        (top, top_t), = one_block(random_sparse(rng, 10, 12)[0])
+        (low, low_t), = one_block(random_sparse(rng, 9, 12)[0])
+        with pytest.raises(LinalgError, match="one height"):
+            truncated_svd([(top, top_t), (low, low_t)], k=2)
+
+    def test_transpose_of_the_wrong_shape(self, rng):
+        sparse, _ = random_sparse(rng, 10, 12)
+        for wrong in (sparse, sparse[:, :11].T.tocsr()):
+            with pytest.raises(LinalgError, match=r"\(\(10, 12\), \(\d+, \d+\)\)"):
+                truncated_svd([(sparse, wrong)], k=2)
 
 
 def ragged_csr(rng):
@@ -224,6 +243,13 @@ def ragged_csr(rng):
 
 
 WORKER_COUNTS = (1, 2, 3, 40)  # 40 is more than ragged_csr's rows
+COLUMN_CUTS = ((), (4,), (0, 3), (1, 5, 8), (9,))  # 0 and 9 leave a block with no columns
+
+
+def column_blocks(matrix, cuts):
+    """The matrix split at the given columns, as CSR blocks."""
+    bounds = (0, *cuts, matrix.shape[1])
+    return [matrix[:, lo:hi].tocsr() for lo, hi in zip(bounds, bounds[1:])]
 
 
 class TestRowBlockedProduct:
@@ -233,23 +259,54 @@ class TestRowBlockedProduct:
         matrix = ragged_csr(rng)
         x = rng.standard_normal((9, 5)) * 10.0 ** rng.uniform(-8, 8, (9, 5))
         q = np.asfortranarray(rng.standard_normal((14, 5)))  # _cgs2 returns this layout
-        blocks, t_blocks = _row_blocks(matrix), _row_blocks(matrix.T.tocsr())
-        for _, _, block in blocks:  # views of the matrix's own arrays, not copies
-            assert block.nnz == 0 or np.shares_memory(block.data, matrix.data)
         with ThreadPoolExecutor(workers) as pool:
-            assert np.array_equal(_product(blocks, x, pool), matrix @ x)
-            assert np.array_equal(_product(t_blocks, q, pool), matrix.T @ q)
+            for cuts in COLUMN_CUTS:
+                product = _product(column_blocks(matrix, cuts), x, np.zeros((14, 5)), pool)
+                assert np.array_equal(product, matrix @ x), cuts
+            transposed = _product([matrix.T.tocsr()], q, np.zeros((9, 5)), pool)
+            assert np.array_equal(transposed, matrix.T @ q)
 
     def test_splits_cover_every_row_once_and_leave_some_block_empty(self, rng, monkeypatch):
-        matrix, empty_blocks = ragged_csr(rng), 0
+        matrix, calls, empty_ranges = ragged_csr(rng), [], 0
+        def recording(n_row, n_col, n_vecs, indptr, *rest):  # one call per row range
+            calls.append((n_row, int(indptr[-1] - indptr[0])))
+            csr_matvecs(n_row, n_col, n_vecs, indptr, *rest)
+        monkeypatch.setattr(linalg, "csr_matvecs", recording)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(linalg, "_WORKERS", workers)
-            blocks = _row_blocks(matrix)
-            assert len(blocks) <= workers
-            assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks][:-1]
-            assert sum(block.nnz for _, _, block in blocks) == matrix.nnz
-            empty_blocks += sum(block.nnz == 0 for _, _, block in blocks)
-        assert empty_blocks > 0
+            calls.clear()
+            with ThreadPoolExecutor(workers) as pool:
+                _product([matrix], np.ones((9, 2)), np.zeros((14, 2)), pool)
+            assert len(calls) <= workers
+            assert sum(rows for rows, _ in calls) == 14
+            assert sum(nnz for _, nnz in calls) == matrix.nnz
+            empty_ranges += sum(nnz == 0 for _, nnz in calls)
+        assert empty_ranges > 0
+
+    def test_writes_only_the_rows_of_out_it_is_given(self, rng, monkeypatch):
+        # truncated_svd stacks each B_j.T @ y into its own rows of one array this way
+        monkeypatch.setattr(linalg, "_WORKERS", 3)
+        matrix = ragged_csr(rng)
+        x = rng.standard_normal((9, 4))
+        out = np.full((20, 4), 2.0)
+        out[3:17] = 0.0
+        with ThreadPoolExecutor(3) as pool:
+            _product(column_blocks(matrix, (4,)), x, out[3:17], pool)
+        assert np.array_equal(out[3:17], matrix @ x)
+        assert np.all(out[:3] == 2.0) and np.all(out[17:] == 2.0)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_pair_blocks_equal_the_joined_matrix(self, monkeypatch, workers):
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        rng = np.random.default_rng(13)
+        docs = encoded_set([rng.integers(0, 120, rng.integers(2, 40)) for _ in range(150)])
+        pair = build_cooc(docs, 120, 4)
+        joined = sp.hstack([pair.left, pair.right], format="csr")
+        blocked = truncated_svd(concat_pair(pair), k=10, seed=6)
+        direct = truncated_svd([(joined, joined.T.tocsr())], k=10, seed=6)
+        assert np.array_equal(blocked.u, direct.u)
+        assert np.array_equal(blocked.singular_values, direct.singular_values)
+        assert np.array_equal(blocked.vt, direct.vt)
 
     def test_svd_bits_do_not_depend_on_worker_count(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -257,7 +314,7 @@ class TestRowBlockedProduct:
         results = []
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(linalg, "_WORKERS", workers)
-            results.append(truncated_svd(matrix, k=12, seed=4))
+            results.append(truncated_svd(one_block(matrix), k=12, seed=4))
         for other in results[1:]:
             assert np.array_equal(other.u, results[0].u)
             assert np.array_equal(other.singular_values, results[0].singular_values)
@@ -266,12 +323,12 @@ class TestRowBlockedProduct:
     def test_no_thread_outlives_a_call(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "_WORKERS", 2)
         before = threading.active_count()
-        truncated_svd(sp.csr_matrix(decaying_matrix(rng, 30, 45)), k=5, seed=0)
+        truncated_svd(one_block(sp.csr_matrix(decaying_matrix(rng, 30, 45))), k=5, seed=0)
         assert threading.active_count() == before
         rank_two = sp.csr_matrix(np.outer(rng.standard_normal(30), rng.standard_normal(45))
                                  + np.outer(rng.standard_normal(30), rng.standard_normal(45)))
         with pytest.raises(LinalgError, match="rank"):
-            truncated_svd(rank_two, k=4, oversample=2, seed=0)
+            truncated_svd(one_block(rank_two), k=4, oversample=2, seed=0)
         assert threading.active_count() == before
 
 
@@ -285,7 +342,7 @@ class TestEmbed:
 
     def test_row_norms_are_sigma_weighted(self, rng):
         dense = decaying_matrix(rng, 25, 40)
-        result = truncated_svd(sp.csr_matrix(dense), k=6, seed=0)
+        result = truncated_svd(one_block(sp.csr_matrix(dense)), k=6, seed=0)
         table = embed(result)
         expected = np.linalg.norm(result.u * result.singular_values, axis=1)
         np.testing.assert_allclose(
@@ -294,14 +351,14 @@ class TestEmbed:
 
     def test_shape_and_dtype(self, rng):
         dense = decaying_matrix(rng, 30, 50)
-        table = embed(truncated_svd(sp.csr_matrix(dense), k=7, seed=0))
+        table = embed(truncated_svd(one_block(sp.csr_matrix(dense)), k=7, seed=0))
         assert table.vectors.shape == (30, 7)
         assert table.size == 30 and table.dim == 7
         assert table.vectors.dtype == np.float32
 
     def test_normalize_toggle(self, rng):
         dense = decaying_matrix(rng, 20, 30)
-        result = truncated_svd(sp.csr_matrix(dense), k=4, seed=0)
+        result = truncated_svd(one_block(sp.csr_matrix(dense)), k=4, seed=0)
         table = embed(result, normalize=True)
         np.testing.assert_allclose(
             np.linalg.norm(table.vectors, axis=1), 1.0, rtol=1e-5

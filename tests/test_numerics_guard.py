@@ -1,0 +1,92 @@
+"""The package's factorizations are its own: the randomized range finder, CGS2
+and one-sided Jacobi. LAPACK-backed factorizations are test oracles only, and
+scipy's private CSR kernels are called from linalg.py alone. Both rules are
+checked on the source text, so a stray call fails here, not in a review."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "halattn"
+# numpy.linalg names that run a LAPACK factorization or solve; norm and the like stay allowed
+FACTORIZATIONS = {"svd", "qr", "eig", "eigh", "eigvals", "eigvalsh", "solve", "lstsq",
+                  "cholesky"}
+FORBIDDEN_MODULES = ("scipy.linalg", "scipy.sparse.linalg")
+KERNELS = "scipy.sparse._sparsetools"
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def used_names(source: str) -> set[str]:
+    """Every module or attribute path the source imports or reads, aliases resolved:
+    'np.linalg.qr' after 'import numpy as np' gives 'numpy.linalg.qr'."""
+    tree, aliases, names = ast.parse(source), {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.name)
+                bound = alias.asname or alias.name.split(".")[0]  # import a.b binds a
+                aliases[bound] = alias.name if alias.asname else bound
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if dotted:
+            root, _, rest = dotted.partition(".")
+            if root in aliases:
+                names.add(f"{aliases[root]}.{rest}")
+    return names
+
+
+def violations(source: str) -> list[str]:
+    """LAPACK factorizations the source reaches, by resolved name."""
+    found = []
+    for name in sorted(used_names(source)):
+        module, _, attr = name.rpartition(".")
+        if (module == "numpy.linalg" and attr in FACTORIZATIONS) or any(
+                name == m or name.startswith(m + ".") for m in FORBIDDEN_MODULES):
+            found.append(name)
+    return found
+
+
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def test_the_checker_sees_each_spelling():
+    source = """
+import numpy as np
+import numpy
+import scipy.sparse as sp
+from numpy.linalg import cholesky
+from scipy import linalg
+from scipy.linalg import qr as lapack_qr
+x = np.linalg.svd(a), numpy.linalg.eigh(a), np.linalg.norm(a), sp.linalg.svds(a)
+"""
+    assert violations(source) == [
+        "numpy.linalg.cholesky", "numpy.linalg.eigh", "numpy.linalg.svd", "scipy.linalg",
+        "scipy.linalg.qr", "scipy.sparse.linalg", "scipy.sparse.linalg.svds"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_lapack_factorization(path):
+    assert violations(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_kernels_only_in_linalg():
+    users = {path.name for path in SOURCES
+             if any(n == KERNELS or n.startswith(KERNELS + ".")
+                    for n in used_names(path.read_text(encoding="utf-8")))}
+    assert users == {"linalg.py"}
