@@ -11,27 +11,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
 
-from synthetic import make_desk_corpus, split_desk_corpus, write_labeled_dir  # noqa: E402
+from synthetic import (DESK_CONFIG, make_desk_corpus, split_desk_corpus,  # noqa: E402
+                       write_labeled_dir)
 
 from halattn.cli import main  # noqa: E402
-
-CONFIG = """\
-window = 4
-embed_dim = 32
-seq_len = 128
-vocab_cap = 300
-temperature = 2.0
-attn_dim = 16
-hidden = 32
-dropout_p = 0.2
-learning_rate = 1e-3
-weight_decay = 1e-4
-batch_size = 32
-patience = 6
-max_epochs = 40
-val_fraction = 0.2
-seed = 11
-"""
+from halattn.train import config_text  # noqa: E402
 
 
 def run(argv):
@@ -50,13 +34,15 @@ def demo(out_dir: Path):
         write_labeled_dir(train_docs, data / "train")
         write_labeled_dir(test_docs, data / "test")
     config = out_dir / "desk.cfg"
-    config.write_text(CONFIG, encoding="utf-8")
+    cfg = DESK_CONFIG
+    config.write_text(config_text(cfg), encoding="utf-8")
 
-    run(["build-vocab", "--data", str(data / "train"), "--cap", "300",
+    run(["build-vocab", "--data", str(data / "train"), "--cap", str(cfg.vocab_cap),
          "--out", str(out_dir / "vocab.txt")])
     run(["build-hal", "--data", str(data / "train"), "--vocab", str(out_dir / "vocab.txt"),
-         "--window", "4", "--seq-len", "128", "--out", str(out_dir / "pair.cooc")])
-    run(["svd", "--cooc", str(out_dir / "pair.cooc"), "--dim", "32",
+         "--window", str(cfg.window), "--seq-len", str(cfg.seq_len),
+         "--out", str(out_dir / "pair.cooc")])
+    run(["svd", "--cooc", str(out_dir / "pair.cooc"), "--dim", str(cfg.embed_dim),
          "--oversample", "10", "--power-iters", "2", "--seed", "5",
          "--out", str(out_dir / "emb.bin")])
     run(["compare", "--data", str(data), "--embeddings", str(out_dir / "emb.bin"),

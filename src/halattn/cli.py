@@ -18,8 +18,8 @@ from .cooc import CoocError, build_cooc, concat_pair
 from .corpus import CorpusError, build_vocab, encode_corpus, load_labeled_dir
 from .linalg import ConvergenceError, LinalgError, embed, truncated_svd
 from .model import DivergenceError, ModelError
-from .train import (_CONFIG_TYPES, TrainConfig, TrainError, evaluate, fit, inspect_attention,
-                    parse_config, split)
+from .train import (_CONFIG_TYPES, TrainConfig, TrainError, check_embeddings, evaluate, fit,
+                    inspect_attention, parse_config, split)
 
 _CLASS_NAMES = {0: "negative", 1: "positive"}
 # TrainConfig fields that train and compare also take as flags, e.g. --max-epochs
@@ -97,14 +97,20 @@ def _save_training(ckpt, records, args) -> None:
         store.save_metrics(records, args.metrics)
 
 
-def _cmd_train(args) -> int:
+def _load_training(args, train_dir, test_dir):
+    """(table, config, train, validation, test sets) of train and compare; the table is
+    checked against the config before any text is read. No test_dir gives no test set."""
     table, vocab = store.load_embeddings(args.embeddings)
     config = _build_config(args)
-    train_set, val_set = split(_load_split_dir(args.data, config.seq_len, vocab),
+    check_embeddings(table, config)
+    train_set, val_set = split(_load_split_dir(train_dir, config.seq_len, vocab),
                                config.val_fraction, config.seed)
-    test_set = (
-        _load_split_dir(args.test_data, config.seq_len, vocab) if args.test_data else None
-    )
+    test_set = _load_split_dir(test_dir, config.seq_len, vocab) if test_dir else None
+    return table, config, train_set, val_set, test_set
+
+
+def _cmd_train(args) -> int:
+    table, config, train_set, val_set, test_set = _load_training(args, args.data, args.test_data)
     try:
         ckpt, records = fit(train_set, val_set, table, config, test_set=test_set,
                             log=_epoch_logger)
@@ -146,14 +152,11 @@ def _cmd_attend(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table, vocab = store.load_embeddings(args.embeddings)
-    config = _build_config(args)
     root = Path(args.data)
     if not (root / "train").is_dir() or not (root / "test").is_dir():
         raise CorpusError(f"{root} must contain train/ and test/ subdirectories")
-    train_set, val_set = split(_load_split_dir(root / "train", config.seq_len, vocab),
-                               config.val_fraction, config.seed)
-    test_set = _load_split_dir(root / "test", config.seq_len, vocab)
+    table, config, train_set, val_set, test_set = _load_training(args, root / "train",
+                                                                 root / "test")
 
     rows = []
     for pooling in ("mean", "attention"):

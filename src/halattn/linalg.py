@@ -161,6 +161,14 @@ def _one_sided_jacobi(
     return q @ u_r.T, s, cols[:n, size : size + n].T
 
 
+def add_csr_product(indptr, indices, data, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the CSR matrix (indptr, indices, data) times x into the C-contiguous out, each row
+    summed in stored order, as scipy's CSR @ dense product sums it."""
+    assert out.flags.c_contiguous, "out.ravel() would copy out, and the kernel write the copy"
+    csr_matvecs(len(indptr) - 1, *x.shape, indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
 def _product(blocks: list[sp.csr_matrix], x: np.ndarray, out: np.ndarray,
              pool: ThreadPoolExecutor) -> np.ndarray:
     """Add [B_1 | ... | B_m] @ x into out, one thread per row range of about equal nnz. Each row
@@ -171,8 +179,7 @@ def _product(blocks: list[sp.csr_matrix], x: np.ndarray, out: np.ndarray,
     bounds = np.unique(np.r_[0, cuts, len(indptr) - 1])
     def fill(a, b):
         for block, lo, hi in zip(blocks, offsets, offsets[1:]):
-            csr_matvecs(b - a, hi - lo, x.shape[1], block.indptr[a : b + 1], block.indices,
-                        block.data, x[lo:hi].ravel(), out[a:b].ravel())
+            add_csr_product(block.indptr[a : b + 1], block.indices, block.data, x[lo:hi], out[a:b])
     list(pool.map(fill, bounds[:-1], bounds[1:]))
     return out
 
@@ -186,20 +193,22 @@ def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int, ove
         raise LinalgError("blocks must be (B_j, B_j.T) pairs, at least one, all B_j of one height; "
                           f"got shapes {[(b.shape, bt.shape) for b, bt in blocks]}")
     rows, cols = a[0].shape[0], sum(b.shape[1] for b in a)
-    if k < 1:
-        raise LinalgError(f"k must be >= 1, got {k}")
+    for name, value, least in (("k", k, 1), ("oversample", oversample, 0),
+                               ("power_iters", power_iters, 0)):
+        if value < least:
+            raise LinalgError(f"{name} must be >= {least}, got {value}")
     sample = k + oversample
     if sample > min(rows, cols):
         raise LinalgError(f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}")
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((cols, sample))
     with ThreadPoolExecutor(_WORKERS) as pool:
         def times_t(y):  # A.T @ y, each B_j.T @ y written into its own rows
             out = np.zeros((cols, y.shape[1]))
             for bt, rows_j in zip(at, np.vsplit(out, np.cumsum([b.shape[1] for b in a])[:-1])):
                 _product([bt], y, rows_j, pool)
             return out
-        q = _cgs2(_product(a, omega, np.zeros((rows, sample)), pool))
+        # The Gaussian test matrix is a temporary: only this first product reads it.
+        q = _cgs2(_product(a, np.random.default_rng(seed).standard_normal((cols, sample)),
+                           np.zeros((rows, sample)), pool))
         for _ in range(power_iters):
             q = _cgs2(times_t(q))
             q = _cgs2(_product(a, q, np.zeros((rows, q.shape[1])), pool))

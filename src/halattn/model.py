@@ -24,10 +24,9 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import EncodedSet
-from .linalg import EmbeddingTable
+from .linalg import EmbeddingTable, add_csr_product
 
 LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -108,32 +107,24 @@ def param_shapes(config) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(config, seed: int | None = None) -> ModelParams:
-    """Glorot-uniform weights, zero biases, unit LayerNorm gain.
+    """Glorot-uniform weights, zero biases, unit LayerNorm gain, in param_shapes' shapes.
 
     `config` needs embed_dim, attn_dim, hidden and seed attributes.
     Attention and classifier tensors come from independent child streams of
     the seed, so the classifier initialization is identical whichever
     pooling strategy consumes it.
     """
-    if seed is None:
-        seed = config.seed
-    k, d_a, h = config.embed_dim, config.attn_dim, config.hidden
-
-    def glorot(rng, fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
-    rng_attn = np.random.default_rng([seed, 0])
-    w_a = glorot(rng_attn, k, d_a, (d_a, k))
-    v_a = glorot(rng_attn, d_a, 1, (d_a,))
-    rng_clf = np.random.default_rng([seed, 1])
-    w_c = glorot(rng_clf, k, h, (h, k))
-    w_o = glorot(rng_clf, h, 2, (2, h))
-    return ModelParams(
-        w_a=w_a, b_a=np.zeros(d_a), v_a=v_a,
-        w_c=w_c, b_c=np.zeros(h), ln_gain=np.ones(h), ln_shift=np.zeros(h),
-        w_o=w_o, b_o=np.zeros(2),
-    )
+    attn, clf = (np.random.default_rng([config.seed if seed is None else seed, i]) for i in (0, 1))
+    glorot = {"w_a": attn, "v_a": attn, "w_c": clf, "w_o": clf}  # drawn in param_shapes' order
+    tensors = {}
+    for name, shape in param_shapes(config).items():
+        if name in glorot:  # a (fan_out, fan_in) matrix; v_a counts as (1, d_a)
+            fan_out, fan_in = ((1,) + shape)[-2:]
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            tensors[name] = glorot[name].uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.full(shape, 1.0 if name == "ln_gain" else 0.0)
+    return ModelParams(**tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +165,10 @@ def _pool(
     else:
         g = None
         alphas = mask / counts[:, None]
-    # Row b of this (B, U) matrix holds alphas[b] at the columns inv[b], real slots
-    # only. int32 indices, as inv's are, spare scipy's index scan and downcast copy.
-    weights = sp.csr_matrix(
-        (alphas[mask], inv[mask], np.concatenate(([0], np.cumsum(counts))).astype(np.int32)),
-        shape=(mask.shape[0], rows.shape[0]),
-    )
-    return weights @ rows, alphas, g
+    # Row b of the (B, U) CSR weights holds alphas[b] at the columns inv[b], real slots only.
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)  # inv's index dtype
+    pooled = np.zeros((len(mask), rows.shape[1]))
+    return add_csr_product(indptr, inv[mask], alphas[mask], rows, pooled), alphas, g
 
 
 def pool_sequence(

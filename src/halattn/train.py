@@ -60,8 +60,11 @@ class TrainConfig:
                 raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise TrainError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.temperature <= 0.0:
-            raise TrainError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("temperature", "learning_rate"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise TrainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise TrainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise TrainError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.pooling not in POOLING_MODES:
@@ -123,6 +126,13 @@ class AttentionReport:
     tokens: list[tuple[str, float]]
     predicted: int
     probs: np.ndarray  # (2,)
+
+
+def check_embeddings(embeddings: EmbeddingTable, config: TrainConfig) -> None:
+    """Refuse a table whose vectors are not the config's embed_dim wide."""
+    if embeddings.dim != config.embed_dim:
+        raise TrainError(
+            f"embedding dim {embeddings.dim} does not match config embed_dim {config.embed_dim}")
 
 
 def split(corpus: EncodedSet, val_fraction: float, seed: int) -> tuple[EncodedSet, EncodedSet]:
@@ -189,10 +199,7 @@ def fit(
     """
     if not len(train_set) or not len(val_set):
         raise TrainError("train and validation sets must be non-empty")
-    if embeddings.dim != config.embed_dim:
-        raise TrainError(
-            f"embedding dim {embeddings.dim} does not match config embed_dim {config.embed_dim}"
-        )
+    check_embeddings(embeddings, config)
     params = init_params(config)
     adam = AdamState.for_params(params)
     grads = params.map(np.empty_like)  # every step writes all of it
@@ -257,11 +264,7 @@ def fit(
 
 def evaluate(checkpoint: Checkpoint, dataset: EncodedSet, embeddings: EmbeddingTable) -> float:
     """Eval-mode accuracy of a checkpoint over a dataset."""
-    if embeddings.dim != checkpoint.config.embed_dim:
-        raise TrainError(
-            f"embedding dim {embeddings.dim} does not match checkpoint "
-            f"embed_dim {checkpoint.config.embed_dim}"
-        )
+    check_embeddings(embeddings, checkpoint.config)
     if not len(dataset):
         raise TrainError("cannot evaluate an empty dataset")
     return _accuracy(dataset, embeddings, checkpoint.params, checkpoint.config)
@@ -276,6 +279,7 @@ def inspect_attention(
     """Per-token attention weights and prediction for a piece of text."""
     if checkpoint.config.pooling != "attention":
         raise TrainError("attention inspection requires an attention-pooling checkpoint")
+    check_embeddings(embeddings, checkpoint.config)
     doc = encode(RawDocument(text=text, label=0), vocab, checkpoint.config.seq_len)
     pooled, alphas = pool_sequence(
         embeddings.gather(doc.ids), doc.mask, checkpoint.params, "attention",

@@ -117,18 +117,58 @@ class TestDataErrors:
         assert "warp_factor" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("command", ["train", "compare"])
-    def test_embed_dim_mismatch_exits_two(self, workspace, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["train", "compare", "eval", "attend"])
+    def test_embed_dim_mismatch_exits_two(self, workspace, trained, tmp_path, capsys, command):
+        # train and compare get a config of embed_dim 32, eval and attend a 12-dim table,
+        # against the workspace's 24-dim emb.bin and checkpoint
         cfg = tmp_path / "wide.cfg"
         cfg.write_text((workspace / "desk.cfg").read_text(encoding="utf-8")
                        + "\nembed_dim = 32\n", encoding="utf-8")
-        args = {"train": ["--data", str(workspace / "data" / "train"),
+        vocab = store.load_vocab(workspace / "vocab.txt")
+        narrow = tmp_path / "narrow.bin"
+        store.save_embeddings(EmbeddingTable(vectors=np.ones((vocab.size, 12), np.float32)),
+                              vocab, narrow)
+        emb, ckpt = str(workspace / "emb.bin"), str(trained / "attn.ckpt")
+        argv = {"train": ["--embeddings", emb, "--config", str(cfg),
+                          "--data", str(workspace / "data" / "train"),
                           "--out", str(tmp_path / "m.ckpt")],
-                "compare": ["--data", str(workspace / "data")]}[command]
-        code = main([command, "--embeddings", str(workspace / "emb.bin"),
-                     "--config", str(cfg), *args])
+                "compare": ["--embeddings", emb, "--config", str(cfg),
+                            "--data", str(workspace / "data")],
+                "eval": ["--ckpt", ckpt, "--embeddings", str(narrow),
+                         "--data", str(workspace / "data" / "test")],
+                "attend": ["--ckpt", ckpt, "--embeddings", str(narrow), "--text", "pos00"]}
+        assert main([command, *argv[command]]) == 2
+        table_dim, config_dim = (24, 32) if command in ("train", "compare") else (12, 24)
+        assert capsys.readouterr().err == (f"error: embedding dim {table_dim} does not match "
+                                           f"config embed_dim {config_dim}\n")
+
+    def test_train_checks_the_table_before_reading_text(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("embed_dim = 32\n", encoding="utf-8")
+        code = main(["train", "--data", str(tmp_path / "no-such-dir"),
+                     "--embeddings", str(workspace / "emb.bin"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
-        assert "embed_dim 32" in capsys.readouterr().err
+        assert "embedding dim 24 does not match config embed_dim 32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "inf"), ("--learning-rate", "-1"),
+                                             ("--temperature", "nan")])
+    def test_non_finite_or_negative_step_size_exits_two(self, workspace, tmp_path, capsys,
+                                                         flag, value):
+        code = main(["train", "--data", str(workspace / "data" / "train"),
+                     "--embeddings", str(workspace / "emb.bin"),
+                     "--config", str(workspace / "desk.cfg"), flag, value,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--oversample", "--power-iters"])
+    def test_negative_svd_parameter_exits_two(self, workspace, tmp_path, capsys, flag):
+        code = main(["svd", "--cooc", str(workspace / "pair.cooc"), "--dim", "8", flag, "-3",
+                     "--out", str(tmp_path / "emb.bin")])
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "emb.bin").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_non_utf8_config_exits_two(self, workspace, tmp_path, capsys, command):

@@ -19,6 +19,7 @@ from halattn.linalg import (
     _cgs2,
     _one_sided_jacobi,
     _product,
+    add_csr_product,
     embed,
     truncated_svd,
 )
@@ -214,6 +215,12 @@ class TestTruncatedSvd:
         with pytest.raises(LinalgError):
             truncated_svd(one_block(sparse), k=8, oversample=5)
 
+    @pytest.mark.parametrize("name", ["oversample", "power_iters"])
+    def test_negative_oversample_or_power_iters(self, rng, name):
+        sparse, _ = random_sparse(rng, 10, 12)
+        with pytest.raises(LinalgError, match=f"{name} must be >= 0, got -3"):
+            truncated_svd(one_block(sparse), k=2, **{name: -3})
+
     def test_empty_block_list(self):
         with pytest.raises(LinalgError, match="at least one"):
             truncated_svd([], k=1)
@@ -294,6 +301,13 @@ class TestRowBlockedProduct:
             _product(column_blocks(matrix, (4,)), x, out[3:17], pool)
         assert np.array_equal(out[3:17], matrix @ x)
         assert np.all(out[:3] == 2.0) and np.all(out[17:] == 2.0)
+
+    def test_refuses_an_out_it_cannot_write_in_place(self, rng):
+        matrix = ragged_csr(rng)
+        out = np.zeros((14, 3), order="F")
+        with pytest.raises(AssertionError, match="would copy out"):
+            add_csr_product(matrix.indptr, matrix.indices, matrix.data, np.ones((9, 3)), out)
+        assert not out.any()
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_pair_blocks_equal_the_joined_matrix(self, monkeypatch, workers):

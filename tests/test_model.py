@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from halattn.model import (
     adam_step,
     init_params,
     loss_and_grad,
+    param_shapes,
     pool_batch,
     pool_sequence,
     predict_logits,
@@ -604,6 +606,20 @@ class TestDistinctTokenScoring:
         assert alphas[2, 0] == alphas[2, 4]
 
 
+    @pytest.mark.parametrize("pooling", ["attention", "mean"])
+    def test_weighted_sum_is_scipys_csr_product_bitwise(self, rng, pooling):
+        # row magnitudes over 16 decades, so any other summation order moves the bits
+        table = EmbeddingTable(vectors=(rng.standard_normal((9, 4))
+                                        * 10.0 ** rng.uniform(-8, 8, (9, 1))).astype(np.float32))
+        batch = encoded_set([rng.integers(0, 9, rng.integers(1, 12)) for _ in range(7)],
+                            labels=[0, 1] * 3 + [0], seq_len=12)
+        rows, inv, mask, _ = _gather_batch(batch, table)
+        pooled, alphas, _ = _pool(rows, inv, mask, random_attention(rng), pooling, 2.0)
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=-1))))
+        weights = sp.csr_matrix((alphas[mask], inv[mask], indptr), shape=(len(mask), len(rows)))
+        assert np.array_equal(pooled, weights @ rows)
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         params = init_params(Cfg, seed=0)
@@ -720,7 +736,33 @@ class TestPoolOnce:
                           dropout_p=0.0, pooled=pooled)
 
 
+def per_tensor_init(config, seed):
+    """init_params as first written, one hand-shaped draw per tensor: the reference bits."""
+    k, d_a, h = config.embed_dim, config.attn_dim, config.hidden
+    def glorot(rng, fan_in, fan_out, shape):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape)
+    rng_attn, rng_clf = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+    w_a, v_a = glorot(rng_attn, k, d_a, (d_a, k)), glorot(rng_attn, d_a, 1, (d_a,))
+    w_c, w_o = glorot(rng_clf, k, h, (h, k)), glorot(rng_clf, h, 2, (2, h))
+    return dict(w_a=w_a, b_a=np.zeros(d_a), v_a=v_a, w_c=w_c, b_c=np.zeros(h),
+                ln_gain=np.ones(h), ln_shift=np.zeros(h), w_o=w_o, b_o=np.zeros(2))
+
+
 class TestInitParams:
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_equals_per_tensor_draws_bitwise(self, seed):
+        params = init_params(Cfg, seed=seed)
+        reference = per_tensor_init(Cfg, seed)
+        assert list(params.tensors()) == list(reference) == list(param_shapes(Cfg))
+        for name, arr in params.tensors().items():
+            assert arr.shape == param_shapes(Cfg)[name]
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, reference[name]), name
+
+    def test_seed_defaults_to_config_seed(self):
+        assert np.array_equal(init_params(Cfg).flat, init_params(Cfg, seed=Cfg.seed).flat)
+
     def test_seed_determinism_bitwise(self):
         a = init_params(Cfg, seed=5)
         b = init_params(Cfg, seed=5)

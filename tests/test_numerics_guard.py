@@ -1,6 +1,7 @@
 """The package's factorizations are its own: the randomized range finder, CGS2
-and one-sided Jacobi. LAPACK-backed factorizations are test oracles only, and
-scipy's private CSR kernels are called from linalg.py alone. Both rules are
+and one-sided Jacobi. LAPACK-backed factorizations are test oracles only,
+scipy's private CSR kernels are called from linalg.py alone, and scipy itself
+is imported by the sparse layers (cooc, linalg, store) alone. The rules are
 checked on the source text, so a stray call fails here, not in a review."""
 
 import ast
@@ -85,8 +86,17 @@ def test_no_lapack_factorization(path):
     assert violations(path.read_text(encoding="utf-8")) == []
 
 
+def users_of(module: str) -> set[str]:
+    """The source files that import module or anything under it."""
+    return {path.name for path in SOURCES
+            if any(n == module or n.startswith(module + ".")
+                   for n in used_names(path.read_text(encoding="utf-8")))}
+
+
 def test_private_kernels_only_in_linalg():
-    users = {path.name for path in SOURCES
-             if any(n == KERNELS or n.startswith(KERNELS + ".")
-                    for n in used_names(path.read_text(encoding="utf-8")))}
-    assert users == {"linalg.py"}
+    assert users_of(KERNELS) == {"linalg.py"}
+
+
+def test_scipy_only_in_the_sparse_layers():
+    # the classifier layer gets its CSR product from linalg.add_csr_product
+    assert users_of("scipy") <= {"cooc.py", "linalg.py", "store.py"}

@@ -79,6 +79,20 @@ class TestTrainConfig:
         with pytest.raises(TrainError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", float("inf")),
+         ("learning_rate", float("nan")), ("weight_decay", -5.0), ("weight_decay", float("inf")),
+         ("weight_decay", float("nan")), ("temperature", float("nan")),
+         ("temperature", float("inf")), ("temperature", -2.0)],
+    )
+    def test_non_finite_or_out_of_range_step_sizes_rejected(self, name, value):
+        with pytest.raises(TrainError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
+    def test_zero_weight_decay_accepted(self):
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
 
 class TestConfigText:
     @pytest.mark.parametrize("cfg", [TrainConfig(), cluster_config(learning_rate=0.1 + 0.2)])
@@ -331,6 +345,12 @@ class TestInspectAttention:
         report = inspect_attention(ckpt, table, vocab, "Beta zzz ALPHA?")
         assert [tok for tok, _ in report.tokens] == ["beta", "alpha"]
         assert abs(sum(w for _, w in report.tokens) - 1.0) < 1e-6
+
+    def test_dimension_mismatch(self, rng):
+        vocab, _, ckpt = self._setup(rng)
+        wide = EmbeddingTable(vectors=rng.standard_normal((3, 4)).astype(np.float32))
+        with pytest.raises(TrainError, match="embedding dim 4 does not match config embed_dim 3"):
+            inspect_attention(ckpt, wide, vocab, "alpha")
 
     def test_mean_checkpoint_rejected(self, rng):
         vocab, table, _ = self._setup(rng)
