@@ -78,8 +78,12 @@ def environment_problem(kept: dict, env: dict | None) -> str | None:
     return f"environment differs from the first run's: {'; '.join(differ)}" if differ else None
 
 
-def summary(runs: list[dict]) -> list[str]:
-    """Per workload and metric: parent and change medians [quartiles], pairs lower."""
+def summary(runs: list[dict], better: dict[str, str]) -> list[str]:
+    """Per workload and metric: parent and change medians [quartiles], and the pairs in
+    which the change is better, by the metric's `better` ("lower" or "higher"; lower if
+    unlisted); ties count for neither side. GAIN marks a metric whose change is better in
+    at least 9 of 10 pairs and whose median moves the better way by more than the
+    parent's quartile spread."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs
@@ -92,10 +96,12 @@ def summary(runs: list[dict]) -> list[str]:
                 continue
             cols = list(zip(*pairs))
             q = [statistics.quantiles(c, n=4) for c in cols]
-            lower = sum(c < p for p, c in pairs)
+            sign = -1 if better.get(metric, "lower") == "higher" else 1  # > 0: change better
+            wins = sum(sign * (p - c) > 0 for p, c in pairs)
+            gain = 10 * wins >= 9 * len(pairs) and sign * (q[0][1] - q[1][1]) > q[0][2] - q[0][0]
             out.append(f"{workload:<11} {metric:<34} {q[0][1]:10.4g} [{q[0][0]:.4g}-{q[0][2]:.4g}]"
                        f" -> {q[1][1]:10.4g} [{q[1][0]:.4g}-{q[1][2]:.4g}]"
-                       f"  change lower {lower}/{len(pairs)}")
+                       f"  change better {wins}/{len(pairs)}{'  GAIN' if gain else ''}")
     return out
 
 
@@ -121,6 +127,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     command = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -161,7 +168,7 @@ def main(argv=None) -> int:
                         "order": "parent and change alternate which runs first, pair by pair",
                         "runs": runs}
     out.write_text(dump(doc), encoding="utf-8")
-    print("\n".join(summary(runs)))
+    print("\n".join(summary(runs, better)))
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0

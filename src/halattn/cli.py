@@ -16,8 +16,8 @@ from pathlib import Path
 from . import store
 from .cooc import CoocError, build_cooc, concat_pair
 from .corpus import CorpusError, build_vocab, encode_corpus, load_labeled_dir
-from .linalg import ConvergenceError, LinalgError, embed, truncated_svd
-from .model import DivergenceError, ModelError
+from .linalg import OVERSAMPLE, POWER_ITERS, ConvergenceError, LinalgError, embed, truncated_svd
+from .model import POOLING_MODES, DivergenceError, ModelError
 from .train import (_CONFIG_TYPES, TrainConfig, TrainError, check_embeddings, evaluate, fit,
                     inspect_attention, parse_config, split)
 
@@ -159,7 +159,7 @@ def _cmd_compare(args) -> int:
                                                                  root / "test")
 
     rows = []
-    for pooling in ("mean", "attention"):
+    for pooling in POOLING_MODES:
         variant = dataclasses.replace(config, pooling=pooling)
         print(f"training {pooling} pooling:")
         ckpt, records = fit(train_set, val_set, table, variant, test_set=test_set,
@@ -186,24 +186,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-vocab", help="build a frequency-capped vocabulary")
     p.add_argument("--data", required=True, help="directory with pos/ and neg/ text files")
-    p.add_argument("--cap", type=int, default=10000, help="maximum vocabulary size")
+    p.add_argument("--cap", type=int, default=TrainConfig.vocab_cap, help="maximum vocabulary size")
     p.add_argument("--out", required=True, help="output vocabulary file")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("build-hal", help="build directional co-occurrence matrices")
     p.add_argument("--data", required=True, help="directory with pos/ and neg/ text files")
     p.add_argument("--vocab", required=True, help="vocabulary file")
-    p.add_argument("--window", type=int, default=5, help="co-occurrence window size")
-    p.add_argument("--seq-len", type=int, default=200, help="encoded sequence length")
+    p.add_argument("--window", type=int, default=TrainConfig.window,
+                   help="co-occurrence window size")
+    p.add_argument("--seq-len", type=int, default=TrainConfig.seq_len,
+                   help="encoded sequence length")
     p.add_argument("--out", required=True, help="output co-occurrence pair file")
     p.set_defaults(func=_cmd_build_hal)
 
     p = sub.add_parser("svd", help="compress co-occurrence rows into dense embeddings")
     p.add_argument("--cooc", required=True, help="co-occurrence pair file")
-    p.add_argument("--dim", type=int, default=300, help="embedding dimension")
-    p.add_argument("--oversample", type=int, default=10, help="range-finder oversampling")
-    p.add_argument("--power-iters", type=int, default=2, help="power iteration rounds")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--dim", type=int, default=TrainConfig.embed_dim, help="embedding dimension")
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help="range-finder oversampling")
+    p.add_argument("--power-iters", type=int, default=POWER_ITERS, help="power iteration rounds")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="random seed")
     p.add_argument("--normalize", action="store_true",
                    help="scale embedding rows to unit L2 norm (default off)")
     p.add_argument("--out", required=True, help="output embedding file")
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier on fixed embeddings")
     p.add_argument("--data", required=True, help="training directory with pos/ and neg/")
     p.add_argument("--embeddings", required=True, help="embedding file")
-    p.add_argument("--pooling", choices=["mean", "attention"], default=None)
+    p.add_argument("--pooling", choices=POOLING_MODES, default=None)
     p.add_argument("--out", required=True, help="output checkpoint file")
     p.add_argument("--metrics", default=None, help="output per-epoch metrics CSV")
     p.add_argument("--test-data", default=None,

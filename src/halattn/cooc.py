@@ -23,7 +23,7 @@ class CoocError(Exception):
 
 @dataclass
 class CoocPair:
-    """The left co-occurrence matrix and its window; right is derived as left.T."""
+    """The left co-occurrence matrix and its window, checked when made; right is left.T."""
 
     left: sp.csr_matrix  # (V, V), canonical CSR, every stored value > 0
     window: int
@@ -36,12 +36,14 @@ class CoocPair:
     def right(self) -> sp.csr_matrix:
         return self.left.T.tocsr()
 
-    def validate(self):
+    def __post_init__(self):
         if self.window < 1:
-            raise CoocError("window must be >= 1")
+            raise CoocError(f"window must be >= 1, got {self.window}")
         m = self.left
         if m.shape[0] != m.shape[1]:
             raise CoocError("left must be a square vocab_size x vocab_size matrix")
+        if not m.indptr[-1] == m.indices.size == m.data.size:  # check_format would prune
+            raise CoocError(f"row offsets end at {m.indptr[-1]}, not at {m.indices.size} entries")
         try:
             m.check_format(full_check=True)
         except ValueError as exc:
@@ -74,8 +76,6 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     """
     if not len(corpus):
         raise CoocError("corpus is empty")
-    if window < 1:
-        raise CoocError(f"window must be >= 1, got {window}")
     ids, lengths = corpus.ids, corpus.lengths
     bad = np.flatnonzero((corpus.mask & ((ids < 0) | (ids >= vocab_size))).any(axis=1))
     if bad.size:

@@ -23,6 +23,7 @@ _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 _PANEL = 8  # columns _cgs2 projects per matrix product
+OVERSAMPLE, POWER_ITERS = 10, 2  # truncated_svd's defaults, and the svd command's
 # threads, and row ranges, per sparse product: the cores this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -184,8 +185,9 @@ def _product(blocks: list[sp.csr_matrix], x: np.ndarray, out: np.ndarray,
     return out
 
 
-def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int, oversample: int = 10,
-                  power_iters: int = 2, seed: int = 0) -> SvdResult:
+def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int,
+                  oversample: int = OVERSAMPLE, power_iters: int = POWER_ITERS,
+                  seed: int = 0) -> SvdResult:
     """Rank-k randomized SVD of A = [B_1 | ... | B_m], deterministic given the seed. blocks
     holds each column block as (B_j, a CSR of B_j.T); A.T @ y is the row stack of B_j.T @ y."""
     a, at = [b for b, _ in blocks], [bt for _, bt in blocks]
@@ -194,7 +196,7 @@ def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int, ove
                           f"got shapes {[(b.shape, bt.shape) for b, bt in blocks]}")
     rows, cols = a[0].shape[0], sum(b.shape[1] for b in a)
     for name, value, least in (("k", k, 1), ("oversample", oversample, 0),
-                               ("power_iters", power_iters, 0)):
+                               ("power_iters", power_iters, 0), ("seed", seed, 0)):
         if value < least:
             raise LinalgError(f"{name} must be >= {least}, got {value}")
     sample = k + oversample

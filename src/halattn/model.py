@@ -106,7 +106,7 @@ def param_shapes(config) -> dict[str, tuple[int, ...]]:
             "ln_gain": (h,), "ln_shift": (h,), "w_o": (2, h), "b_o": (2,)}
 
 
-def init_params(config, seed: int | None = None) -> ModelParams:
+def init_params(config) -> ModelParams:
     """Glorot-uniform weights, zero biases, unit LayerNorm gain, in param_shapes' shapes.
 
     `config` needs embed_dim, attn_dim, hidden and seed attributes.
@@ -114,7 +114,7 @@ def init_params(config, seed: int | None = None) -> ModelParams:
     the seed, so the classifier initialization is identical whichever
     pooling strategy consumes it.
     """
-    attn, clf = (np.random.default_rng([config.seed if seed is None else seed, i]) for i in (0, 1))
+    attn, clf = (np.random.default_rng([config.seed, i]) for i in (0, 1))
     glorot = {"w_a": attn, "v_a": attn, "w_c": clf, "w_o": clf}  # drawn in param_shapes' order
     tensors = {}
     for name, shape in param_shapes(config).items():

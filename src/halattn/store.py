@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
 from .linalg import EmbeddingTable
-from .model import ModelParams, param_shapes
+from .model import ModelParams
 from .train import Checkpoint, EpochRecord, TrainConfig, TrainError, config_text, parse_config
 
 MAGIC_VOCAB = b"HALVOCAB"
@@ -258,10 +258,26 @@ def load_vocab(path: str | Path) -> Vocabulary:
     return vocab_from_bytes(Path(path).read_bytes(), path)
 
 
+def _save_indexed(path: str | Path, magic: bytes, arrays: dict, rows: int, vocab: Vocabulary):
+    """Write arrays whose `rows` matrix rows are indexed by vocab, then vocab's bytes."""
+    if rows != vocab.size:
+        raise ValueError(f"matrix rows ({rows}) and vocabulary size ({vocab.size}) differ")
+    _save_records(path, magic, {**arrays, "vocab": np.frombuffer(vocab_to_bytes(vocab), np.uint8)})
+
+
+def _load_indexed(path: str | Path, magic: bytes, layout: dict, rows) -> tuple[dict, Vocabulary]:
+    """Records and vocabulary of a `_save_indexed` file, whose vocabulary must index the
+    `rows(records)` matrix rows."""
+    records = _load_records(path, magic, layout)
+    vocab = vocab_from_bytes(records.pop("vocab").tobytes(), path)
+    if vocab.size != rows(records):
+        raise FormatError(path, f"{vocab.size} vocabulary tokens for {rows(records)} matrix rows")
+    return records, vocab
+
+
 # ---------------------------------------------------------------------------
 # Co-occurrence pair (binary)
 # ---------------------------------------------------------------------------
-
 
 _COOC_LAYOUT = {"window": (np.int64, 0), "indptr": (np.int64, 1), "indices": (np.int64, 1),
                 "data": (np.float64, 1), "vocab": (np.uint8, 1)}
@@ -270,31 +286,24 @@ _COOC_LAYOUT = {"window": (np.int64, 0), "indptr": (np.int64, 1), "indices": (np
 def save_cooc(pair: CoocPair, vocab: Vocabulary, path: str | Path):
     """Write window, left and its vocabulary; right is left.T and is not stored."""
     left = pair.left
-    _save_records(path, MAGIC_COOC, {
+    _save_indexed(path, MAGIC_COOC, {
         "window": np.array(pair.window, dtype=np.int64),
         "indptr": left.indptr.astype(np.int64, copy=False),
         "indices": left.indices.astype(np.int64, copy=False),
         "data": left.data.astype(np.float64, copy=False),
-        "vocab": np.frombuffer(vocab_to_bytes(vocab), dtype=np.uint8),
-    })
+    }, pair.vocab_size, vocab)
 
 
 def load_cooc(path: str | Path) -> tuple[CoocPair, Vocabulary]:
-    records = _load_records(path, MAGIC_COOC, _COOC_LAYOUT)
+    records, vocab = _load_indexed(path, MAGIC_COOC, _COOC_LAYOUT, lambda r: r["indptr"].size - 1)
     indptr, indices = records["indptr"], records["indices"]
-    if indptr.size == 0 or indptr[-1] != indices.size:
-        raise FormatError(path, f"row offsets {indptr[-1:]} do not end at {indices.size} entries")
-    vocab_size = indptr.size - 1
-    vocab = vocab_from_bytes(records["vocab"].tobytes(), path)
+    if indptr[-1] != indices.size:  # scipy's constructor would prune the entries past it
+        raise FormatError(path, f"row offsets end at {indptr[-1]}, not at {indices.size} entries")
     try:
-        left = sp.csr_matrix((records["data"], indices, indptr), shape=(vocab_size, vocab_size))
-        pair = CoocPair(left=left, window=int(records["window"]))
-        pair.validate()
+        left = sp.csr_matrix((records["data"], indices, indptr), shape=(vocab.size, vocab.size))
+        return CoocPair(left=left, window=int(records["window"])), vocab
     except (ValueError, CoocError) as exc:
         raise FormatError(path, f"invalid co-occurrence pair: {exc}") from None
-    if vocab.size != vocab_size:
-        raise FormatError(path, "embedded vocabulary size disagrees with matrix size")
-    return pair, vocab
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +314,14 @@ _EMB_LAYOUT = {"vectors": (np.float32, 2), "vocab": (np.uint8, 1)}
 
 
 def save_embeddings(table: EmbeddingTable, vocab: Vocabulary, path: str | Path):
-    if table.size != vocab.size:
-        raise ValueError(
-            f"embedding rows ({table.size}) and vocabulary size ({vocab.size}) differ"
-        )
-    _save_records(path, MAGIC_EMB, {
-        "vectors": table.vectors.astype(np.float32, copy=False),
-        "vocab": np.frombuffer(vocab_to_bytes(vocab), dtype=np.uint8),
-    })
+    _save_indexed(path, MAGIC_EMB, {"vectors": table.vectors.astype(np.float32, copy=False)},
+                  table.size, vocab)
 
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingTable, Vocabulary]:
-    records = _load_records(path, MAGIC_EMB, _EMB_LAYOUT)
-    vectors = records["vectors"]
-    vocab = vocab_from_bytes(records["vocab"].tobytes(), path)
-    if vocab.size != vectors.shape[0]:
-        raise FormatError(path, "embedded vocabulary size disagrees with table rows")
-    return EmbeddingTable(vectors=vectors), vocab
+    records, vocab = _load_indexed(path, MAGIC_EMB, _EMB_LAYOUT,
+                                   lambda r: r["vectors"].shape[0])
+    return EmbeddingTable(vectors=records["vectors"]), vocab
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +349,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         missing = [f.name for f in fields(TrainConfig) if f.name not in values]
         if missing:
             raise TrainError(f"missing fields {missing}")
-        config = TrainConfig(**values)
+        return Checkpoint(config=TrainConfig(**values), best_epoch=int(records.pop("best_epoch")),
+                          best_val_acc=float(records.pop("best_val_acc")),
+                          params=ModelParams(**records))
     except (UnicodeDecodeError, TrainError) as exc:
-        raise FormatError(path, f"invalid config record: {exc}") from None
-    for name, shape in param_shapes(config).items():
-        if records[name].shape != shape:
-            raise FormatError(path, f"tensor {name!r} has shape {records[name].shape}, not {shape}")
-    return Checkpoint(config=config, best_epoch=int(records.pop("best_epoch")),
-                      best_val_acc=float(records.pop("best_val_acc")),
-                      params=ModelParams(**records))
+        raise FormatError(path, f"invalid checkpoint: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .model import (
     adam_step,
     init_params,
     loss_and_grad,
+    param_shapes,
     pool_batch,
     pool_sequence,
     predict_logits,
@@ -69,6 +70,8 @@ class TrainConfig:
             raise TrainError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.pooling not in POOLING_MODES:
             raise TrainError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
 
 
 _CONFIG_TYPES = typing.get_type_hints(TrainConfig)
@@ -111,12 +114,17 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    """Best-epoch parameters with the config that produced them."""
+    """Best-epoch parameters with the config that produced them, in its shapes."""
 
     config: TrainConfig
     params: ModelParams
     best_epoch: int
     best_val_acc: float
+
+    def __post_init__(self):
+        for name, shape in param_shapes(self.config).items():
+            if (found := getattr(self.params, name).shape) != shape:
+                raise TrainError(f"tensor {name!r} has shape {found}, not {shape}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py keeps one environment line per BENCH file, so it
-must refuse runs whose core or BLAS thread counts differ."""
+must refuse runs whose core or BLAS thread counts differ; its summary counts
+the pairs in which the change is better, by each metric's direction."""
 
 import importlib.util
 import types
@@ -53,3 +54,30 @@ def test_main_exits_one_on_mixed_runs(bench_pairs, monkeypatch, tmp_path, capsys
     assert bench_pairs.main(["--parent", "HEAD", "--seeds", "7", "--out", str(out)]) == code
     assert ("problem: " in capsys.readouterr().out) == bool(code)
     assert '"nproc": 2' in out.read_text(encoding="utf-8")  # the first run's line is kept
+
+
+def _runs(metric, parent, change):
+    """Synthetic pair runs of one desk metric, seed i holding parent[i] and change[i]."""
+    return [{"side": side, "workload": "desk", "seed": seed,
+             "result": {"metrics": {metric: {"value": value}}}}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, value in enumerate(values)]
+
+
+PARENT = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
+
+
+@pytest.mark.parametrize("better, change, counted, gain", [
+    ("lower", [v - 1.0 for v in PARENT], "10/10", True),
+    ("higher", [v + 1.0 for v in PARENT], "10/10", True),
+    ("higher", [v - 1.0 for v in PARENT], "0/10", False),
+    # nine wins and a tie: enough pairs, but the medians sit within the parent's spread
+    ("lower", [v - 0.01 for v in PARENT[:9]] + PARENT[9:], "9/10", False),
+    # eight wins, however large: too few pairs
+    ("lower", [v - 5.0 for v in PARENT[:8]] + [v + 1.0 for v in PARENT[8:]], "8/10", False),
+    ("lower", PARENT, "0/10", False),  # ties count for neither side
+], ids=["lower-gain", "higher-gain", "higher-loss", "within-spread", "eight-of-ten", "ties"])
+def test_summary_counts_better_pairs(bench_pairs, better, change, counted, gain):
+    line, = bench_pairs.summary(_runs("m", PARENT, change), {"m": better})
+    assert f"change better {counted}" in line
+    assert line.endswith("GAIN") == gain

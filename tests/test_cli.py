@@ -162,13 +162,25 @@ class TestDataErrors:
         assert code == 2
         assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--oversample", "--power-iters"])
+    @pytest.mark.parametrize("flag", ["--oversample", "--power-iters", "--seed"])
     def test_negative_svd_parameter_exits_two(self, workspace, tmp_path, capsys, flag):
         code = main(["svd", "--cooc", str(workspace / "pair.cooc"), "--dim", "8", flag, "-3",
                      "--out", str(tmp_path / "emb.bin")])
         assert code == 2
         assert f"{flag[2:].replace('-', '_')} must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "emb.bin").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_train_seed_exits_two(self, workspace, tmp_path, capsys, source):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)]}[source]
+        code = main(["train", "--data", str(workspace / "data" / "train"),
+                     "--embeddings", str(workspace / "emb.bin"), *seed,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_non_utf8_config_exits_two(self, workspace, tmp_path, capsys, command):

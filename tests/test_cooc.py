@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halattn.corpus import EncodedSet
-from halattn.cooc import CoocError, build_cooc, concat_pair, hal_weight
+from halattn.cooc import CoocError, CoocPair, build_cooc, concat_pair, hal_weight
 from synthetic import encoded_set
 
 
@@ -223,8 +223,33 @@ class TestBuildCooc:
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
         docs = encoded_set([rng.integers(0, 12, rng.integers(2, 30)) for _ in range(20)])
-        pair = build_cooc(docs, 12, 5)
-        pair.validate()
+        left = build_cooc(docs, 12, 5).left
+        assert left.shape == (12, 12) and left.indptr[-1] == left.indices.size == left.data.size
+        assert left.has_canonical_format and np.all(left.data > 0)
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(CoocError, match="window must be >= 1, got 0"):
+            build_cooc(encoded_set([[0, 1, 0]]), 2, 0)
+
+
+class TestCoocPairChecks:
+    """A CoocPair checks its matrix when it is made, so every path that makes one does."""
+
+    DENSE = np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.0], [0.25, 1.5, 3.0]])
+
+    def test_offsets_ending_early_refused_not_pruned(self):
+        left = sp.csr_matrix(self.DENSE)
+        indices, data = left.indices.copy(), left.data.copy()
+        left.indptr[-1] = 5  # the sixth stored entry lies past the last row's end
+        with pytest.raises(CoocError, match="row offsets end at 5, not at 6 entries"):
+            CoocPair(left=left, window=2)
+        assert np.array_equal(left.indices, indices) and np.array_equal(left.data, data)
+
+    def test_window_and_shape_refused(self):
+        with pytest.raises(CoocError, match="window must be >= 1, got 0"):
+            CoocPair(left=sp.csr_matrix(self.DENSE), window=0)
+        with pytest.raises(CoocError, match="square"):
+            CoocPair(left=sp.csr_matrix(self.DENSE[:2]), window=2)
 
 
 class TestConcatRow:

@@ -28,7 +28,7 @@ def toy_batch(rng, n_docs=3, vocab=VOCAB):
 
 
 def toy_params(rng, seed):
-    params = init_params(ToyCfg, seed=seed)
+    params = init_params(type("ToyCfg", (ToyCfg,), {"seed": seed}))
     # randomize the zero-initialized tensors so their gradients are generic
     params.b_a[...] = 0.1 * rng.standard_normal(ATTN_DIM)
     params.b_c[...] = 0.1 * rng.standard_normal(HIDDEN)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -10,10 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from synthetic import encoded_set, make_cluster_dataset
 from halattn import store
-from halattn.cooc import CoocPair, build_cooc
+from halattn.cooc import CoocError, CoocPair, build_cooc
 from halattn.corpus import Vocabulary
 from halattn.linalg import EmbeddingTable
-from halattn.train import EpochRecord, TrainConfig, fit, split
+from halattn.train import Checkpoint, EpochRecord, TrainConfig, TrainError, fit, split
 
 
 @pytest.fixture(scope="module")
@@ -422,13 +423,37 @@ class TestCoocStructuralValidation:
     def test_rejected_with_format_error(self, array, pos, value, tmp_path):
         path = tmp_path / "pair.cooc"
         vocab = Vocabulary.from_tokens(["a", "b", "c"])
-        left = sp.csr_matrix(self.DENSE)
-        store.save_cooc(CoocPair(left=left, window=2), vocab, path)
+        store.save_cooc(CoocPair(left=sp.csr_matrix(self.DENSE), window=2), vocab, path)
         store.load_cooc(path)  # the pristine matrix loads
-        getattr(left, array)[pos] = value  # edits the raw arrays behind scipy's checks
-        store.save_cooc(CoocPair(left=left, window=2), vocab, path)
+        records = store._load_records(path, store.MAGIC_COOC, store._COOC_LAYOUT)
+        records[array][pos] = value  # save_cooc refuses such a pair, so write the records
+        store._save_records(path, store.MAGIC_COOC, records)
         with pytest.raises(store.FormatError):
             store.load_cooc(path)
+
+
+class TestWritersRefuseWhatLoadersRefuse:
+    def test_cooc_vocabulary_of_another_size(self, pair, tmp_path):
+        path = tmp_path / "pair.cooc"
+        with pytest.raises(ValueError, match=r"matrix rows \(5\) and vocabulary size \(2\)"):
+            store.save_cooc(pair, Vocabulary.from_tokens(["only", "two"]), path)
+        assert not path.exists()
+
+    def test_cooc_non_positive_value(self, vocab, tmp_path):
+        left = sp.csr_matrix(np.eye(vocab.size))
+        left.data[0] = 0.0
+        path = tmp_path / "pair.cooc"
+        with pytest.raises(CoocError, match="strictly positive"):
+            store.save_cooc(CoocPair(left=left, window=2), vocab, path)
+        assert not path.exists()
+
+    def test_checkpoint_shapes_disagree_with_config(self, checkpoint, tmp_path):
+        wider = dataclasses.replace(checkpoint.config, hidden=checkpoint.config.hidden + 1)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(TrainError, match=r"tensor 'w_c' has shape \(6, 8\), not \(7, 8\)"):
+            store.save_checkpoint(Checkpoint(config=wider, params=checkpoint.params,
+                                             best_epoch=1, best_val_acc=0.5), path)
+        assert not path.exists()
 
 
 class TestCrossLoading:
