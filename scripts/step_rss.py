@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""The process's max RSS after each step of one benchmark workload's sequence.
+
+Usage, from the repository root:
+
+    python3 scripts/step_rss.py embed-imdb 2001
+
+It writes the workload's inputs for SEED in a child process (so the
+generator's memory stays out of this one), then runs the subcommands of
+`perfbench/workloads.py:sequence` once, in order, in this process, as the
+benchmark does, with one BLAS thread and a `gc.collect()` before each call.
+After each step it prints the stage, the pooling and `ru_maxrss` in MB; a
+run of equal (stage, pooling) steps, such as the attend texts, is one line.
+The first line is the max RSS after the imports. It has no gate: a step that
+exits non-zero is printed with its exit code, and the script exits 1.
+"""
+
+from __future__ import annotations
+
+import os
+
+# As the benchmark: one BLAS thread, set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import gc  # noqa: E402
+import io  # noqa: E402
+import itertools  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+PATHS = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+sys.path[:0] = PATHS
+
+from halattn import cli  # noqa: E402
+from workloads import WORKLOADS, sequence  # noqa: E402
+
+
+def max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or args[0] not in WORKLOADS or not args[1].isdigit():
+        print(f"usage: step_rss.py WORKLOAD SEED; WORKLOAD one of {sorted(WORKLOADS)}",
+              file=sys.stderr)
+        return 2
+    name, seed = args
+    print(f"{'imports':<12} {'':<10} {max_rss_mb():7.1f} MB")
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="step_rss-") as tmp:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), name,
+                        seed, str(Path(tmp) / "inputs"), "1"],
+                       env=env, stdout=subprocess.DEVNULL, check=True)
+        out = Path(tmp) / "out"
+        out.mkdir()
+        steps = sequence(WORKLOADS[name], Path(tmp) / "inputs" / "rep0", out)
+        for (stage, pooling), group in itertools.groupby(steps, lambda s: (s.stage, s.pooling)):
+            calls = codes = 0
+            for step in group:
+                gc.collect()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(step.argv)
+                calls, codes = calls + 1, codes + (code != 0)
+                failed |= code != 0
+            note = f"  x{calls}" if calls > 1 else ""
+            note += f"  {codes} exited non-zero" if codes else ""
+            print(f"{stage:<12} {pooling or '':<10} {max_rss_mb():7.1f} MB{note}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,7 +48,9 @@ class CoocPair:
             m.check_format(full_check=True)
         except ValueError as exc:
             raise CoocError(f"malformed CSR: {exc}") from None
-        if not m.has_canonical_format:
+        rising = np.r_[True, np.diff(m.indices) > 0, True]  # entry j's column > entry j - 1's
+        rising[m.indptr] = True  # a row's first entry; scipy's has_canonical_format is cached
+        if not rising.all():
             raise CoocError("column indices must be strictly increasing within each row")
         if not np.all(m.data > 0):
             raise CoocError("stored values must be strictly positive")
@@ -67,12 +69,11 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     """Accumulate directional co-occurrence counts over encoded documents.
 
     Windows never cross document boundaries and padded positions contribute
-    nothing. Each distance d is counted on its own: its (target, context) keys
-    come straight from the (N, T) id rows, np.unique counts them as exact
-    integers, and their CSR, weighted 1/d, is added to the running sum. An
-    entry is thus its weighted counts added in ascending d, bitwise independent
-    of document order, and no array spans two distances: beside the sum, the
-    transient is a few int64 arrays the size of one distance's pairs.
+    nothing. Each distance d is counted on its own, in `_distance_counts`, whose
+    temporaries die before its CSR, weighted 1/d, is added to the running sum.
+    An entry is thus its weighted counts added in ascending d, bitwise
+    independent of document order, and no array spans two distances: beside the
+    sum, the transient is a few arrays the size of one distance's pairs.
     """
     if not len(corpus):
         raise CoocError("corpus is empty")
@@ -81,16 +82,25 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     if bad.size:
         raise CoocError(f"document {bad[0]} contains an id outside [0, {vocab_size})")
 
-    V, T = vocab_size, ids.shape[1]
-    left = sp.csr_matrix((V, V))
-    for d in range(1, min(window, T - 1) + 1):
-        real = np.arange(d, T) < lengths[:, None]  # target slot d + j is a real token
-        keys = ids[:, d:][real].astype(np.int64) * V + ids[:, : T - d][real]
-        keys, counts = np.unique(keys, return_counts=True)
-        # Keys are row*V+col in ascending order, so rows and columns come out sorted.
-        offsets = np.searchsorted(keys // V, np.arange(V + 1))
-        left = left + sp.csr_matrix((counts * hal_weight(d, window), keys % V, offsets), shape=(V, V))
+    left = sp.csr_matrix((vocab_size, vocab_size))
+    for d in range(1, min(window, ids.shape[1] - 1) + 1):
+        left = left + _distance_counts(ids, lengths, vocab_size, d, hal_weight(d, window))
     return CoocPair(left=left, window=window)
+
+
+def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> sp.csr_matrix:
+    """weight times each (target, context) pair's count at distance d, as a V x V CSR. The
+    target*V+context keys are 32-bit while V*V fits; sorted, each run of a key is one entry."""
+    real = np.arange(d, ids.shape[1]) < lengths[:, None]  # target slot d + j is a real token
+    keys = np.multiply(ids[:, d:][real], V, dtype=np.int32 if V * V < 2**31 else np.int64)
+    keys += ids[:, : ids.shape[1] - d][real]
+    del real
+    keys.sort()  # in place; rows, and columns within a row, come out ascending
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: keys.size])  # each run's start
+    counts, keys = np.diff(np.r_[first, keys.size]) * weight, keys[first]
+    del first
+    return sp.csr_matrix((counts, keys % V, np.searchsorted(keys // V, np.arange(V + 1))),
+                         shape=(V, V))
 
 
 def concat_pair(pair: CoocPair) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:

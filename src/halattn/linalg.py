@@ -97,7 +97,7 @@ def _cgs2(basis: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
                     qt[kept] = v / norm
                     kept += 1
                     survivors.append(floor / norm)
-            panel, floors = qt[first:kept].copy(), survivors
+            panel, floors = qt[first:kept], survivors  # a view: round 2 writes only rows it read
     return qt[:kept].T
 
 
@@ -128,6 +128,7 @@ def _one_sided_jacobi(
     # row j: column j of r (zero where columns were dropped), then column j of v
     cols = np.hstack([np.zeros((size, size)), np.eye(size)])
     cols[:n, : q.shape[1]] = g.T @ q
+    del g  # r is all the sweeps need; an argument passed as a temporary is freed here
     rot = np.zeros((size // 2, 2, 2))
     rotated_rows = np.empty((size // 2, 2, 2 * size))  # reused: a fresh one per round page-faults
     rounds, worst = _round_robin(size), float("nan")
@@ -216,14 +217,13 @@ def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int,
             q = _cgs2(_product(a, q, np.zeros((rows, q.shape[1])), pool))
         if q.shape[1] < k:
             raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
-        b = times_t(q).T  # (sample, cols)
-    u_small, s, v_small = _one_sided_jacobi(b.T)
-    # b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
+        u_small, s, v_small = _one_sided_jacobi(times_t(q))  # b.T = A.T @ q, freed inside
+    # b = q.T @ A, and b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
     order = np.argsort(-s, kind="stable")[:k]
-    s_k = s[order]
+    u_small, s_k, v_small = u_small[:, order], s[order], v_small[:, order]  # frees the rest
     if s_k[-1] == 0.0:
         raise LinalgError(f"matrix rank is below k = {k}")
-    result = SvdResult(u=q @ v_small[:, order], singular_values=s_k, vt=u_small[:, order].T)
+    result = SvdResult(u=q @ v_small, singular_values=s_k, vt=u_small.T)
     result.validate()
     return result
 

@@ -76,9 +76,9 @@ def _checksum(*parts) -> int:
     return int.from_bytes(digest.digest()[:8], "little")
 
 
-def _write_atomic(path: str | Path, data: bytes):
-    """Stage data in a unique temp file beside path, fsync it, rename it over
-    path, then fsync the directory so the rename survives a crash."""
+def _write_atomic(path: str | Path, *parts):
+    """Stage the bytes-like parts, in order, in a unique temp file beside path, fsync it,
+    rename it over path, then fsync the directory so the rename survives a crash."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -87,7 +87,7 @@ def _write_atomic(path: str | Path, data: bytes):
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -160,7 +160,7 @@ def _save_records(path: str | Path, magic: bytes, arrays: dict[str, np.ndarray])
                               _DTYPE_OF[arr.dtype], arr.ndim, *arr.shape),
                   np.ascontiguousarray(arr)]
     header = magic + struct.pack("<QQ", VERSIONS[magic], _checksum(*parts))
-    _write_atomic(path, b"".join([header, *parts]))
+    _write_atomic(path, header, *parts)  # record by record: no copy of the whole file
 
 
 def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.ndarray]:

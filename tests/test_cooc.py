@@ -208,6 +208,15 @@ class TestBuildCooc:
         reference = traced_peak(merged_once_left, docs, 2000, 5)
         assert ours <= reference / 2, (ours, reference)
 
+    def test_64_bit_keys_match_one_global_merge_bitwise(self):
+        # vocab_size**2 > 2**31 - 1, so keys are int64: ids near the top would overflow int32
+        vocab_size = 46341
+        rng = np.random.default_rng(9)
+        ids = np.r_[np.arange(20), np.arange(vocab_size - 20, vocab_size)]
+        docs = encoded_set([rng.choice(ids, rng.integers(2, 40)) for _ in range(30)])
+        assert_same_csr(build_cooc(docs, vocab_size, 4).left,
+                        merged_once_left(docs, vocab_size, 4))
+
     def test_mass_conservation_closed_form(self):
         rng = np.random.default_rng(5)
         window = 4
@@ -244,6 +253,20 @@ class TestCoocPairChecks:
         with pytest.raises(CoocError, match="row offsets end at 5, not at 6 entries"):
             CoocPair(left=left, window=2)
         assert np.array_equal(left.indices, indices) and np.array_equal(left.data, data)
+
+    @pytest.mark.parametrize("columns", [[2, 1], [1, 1]], ids=["descending", "duplicate"])
+    def test_columns_edited_after_a_check_refused(self, columns):
+        # scipy caches has_canonical_format once computed; the check reads the arrays
+        left = sp.csr_matrix(self.DENSE)
+        CoocPair(left=left, window=2)
+        left.indices[:2] = columns  # row 0's two entries
+        with pytest.raises(CoocError, match="strictly increasing"):
+            CoocPair(left=left, window=2)
+
+    def test_empty_rows_and_columns_falling_across_rows_accepted(self):
+        # indptr [0, 0, 2, 3, 3]: empty first and last rows; row 2 starts below row 1's end
+        left = sp.csr_matrix(np.array([[0.0, 0, 0, 0], [1, 0, 2, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]]))
+        assert CoocPair(left=left, window=2).left.nnz == 3
 
     def test_window_and_shape_refused(self):
         with pytest.raises(CoocError, match="window must be >= 1, got 0"):

@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -207,6 +208,24 @@ class TestTruncatedSvd:
         result = truncated_svd(one_block(matrix), k=100, oversample=10, power_iters=2, seed=0)
         oracle = lapack_singular_values(matrix.toarray())
         np.testing.assert_allclose(result.singular_values, oracle[:100], rtol=1e-6)
+
+    def test_peak_memory_at_most_one_array_below_holding_b(self):
+        # One "array" is 2V x (k + oversample) float64. At most q (V rows), Jacobi's input
+        # b.T = A.T @ q and its Q factor are alive at once, 2.5 arrays plus panel-sized
+        # scraps. Keeping b alive through the Jacobi sweeps, and u_small beside its column
+        # selection, peaked at 4.07 arrays on this pair; the bound is one array below that.
+        vocab_size, k, oversample = 1500, 100, 10
+        rng = np.random.default_rng(20)
+        docs = encoded_set([rng.integers(0, vocab_size, 100) for _ in range(300)])
+        blocks = concat_pair(build_cooc(docs, vocab_size, 5))
+        tracemalloc.start()
+        try:
+            truncated_svd(blocks, k=k, oversample=oversample, power_iters=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = 2 * vocab_size * (k + oversample) * 8
+        assert peak <= 3.07 * array, peak / array
 
     def test_k_out_of_range(self, rng):
         sparse, _ = random_sparse(rng, 10, 12)

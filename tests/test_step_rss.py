@@ -1,0 +1,32 @@
+"""scripts/step_rss.py runs a benchmark workload's sequence in one process and
+prints the max RSS after each step; it has no gate, so these only check its shape."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_rss.py"
+
+
+def run(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
+
+
+def test_desk_prints_one_non_decreasing_line_per_step_group():
+    proc = run("desk", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [re.fullmatch(r"(\S+) +(\S*) +([\d.]+) MB(.*)", line).groups()
+            for line in proc.stdout.splitlines()]
+    assert [(stage, pooling) for stage, pooling, _, _ in rows] == [
+        ("imports", ""), ("build-vocab", ""), ("build-hal", ""), ("svd", ""),
+        ("train", "mean"), ("eval", "mean"), ("train", "attention"), ("eval", "attention"),
+        ("attend", "attention")]
+    assert rows[-1][3] == "  x48"  # the attend texts share one line
+    peaks = [float(mb) for _, _, mb, _ in rows]
+    assert peaks == sorted(peaks)  # a maximum never falls
+
+
+def test_unknown_workload_is_a_usage_error():
+    proc = run("nope", "1")
+    assert proc.returncode == 2 and "one of" in proc.stderr and not proc.stdout

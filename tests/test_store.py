@@ -507,6 +507,29 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
         assert path.read_bytes() == before
 
+    def test_failed_multi_record_write_leaves_old_file(self, tmp_path, vocab, monkeypatch):
+        # save_cooc stages its header and each record in turn; when the fsync after them
+        # fails, the old pair.cooc stays whole and no staging file is left behind
+        path, expected = tmp_path / "pair.cooc", tmp_path / "expected" / "pair.cooc"
+        new = _pair(np.random.default_rng(2))
+        expected.parent.mkdir()
+        store.save_cooc(new, vocab, expected)
+        store.save_cooc(_pair(np.random.default_rng(1)), vocab, path)
+        before = path.read_bytes()
+        assert before != expected.read_bytes()
+        staged = []
+
+        def fail(fd):
+            staged.extend(p.read_bytes() for p in tmp_path.glob(".pair.cooc.*.tmp"))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store.os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.save_cooc(new, vocab, path)
+        assert staged == [expected.read_bytes()]  # every record was written before the fsync
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "pair.cooc"]
+        assert path.read_bytes() == before
+
     def test_new_file_mode_follows_umask(self, tmp_path, vocab):
         path = tmp_path / "vocab.txt"
         plain = tmp_path / "plain.txt"
