@@ -2,9 +2,9 @@
 
 Each ordered token pair (context at position j, target at position i, j < i,
 d = i - j <= window) contributes weight 1/d to left[target][context]. Only
-left is accumulated and stored; right[context][target] is left.T, and the SVD
-takes [left | right] as two CSR blocks, never joined. Left is summed one
-distance at a time: the working memory is one distance's pairs and the sum.
+left is built and stored: right[context][target] is left.T, which the SVD
+reads as left flagged as transposed. Left is summed one distance at a time:
+the working memory is one distance's pairs and the sum.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class CoocPair:
     @property
     def vocab_size(self) -> int:
         return int(self.left.shape[0])
-
-    @property
-    def right(self) -> sp.csr_matrix:
-        return self.left.T.tocsr()
 
     def __post_init__(self):
         if self.window < 1:
@@ -103,8 +99,7 @@ def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> sp.csr_matr
                          shape=(V, V))
 
 
-def concat_pair(pair: CoocPair) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
-    """[left | right] as truncated_svd's column blocks, each beside the CSR of its transpose:
-    [(left, right), (right, left)]. Only right = left.T is built; the V x 2V matrix is not."""
-    right = pair.right
-    return [(pair.left, right), (right, pair.left)]
+def concat_pair(pair: CoocPair) -> list[tuple[sp.csr_matrix, bool]]:
+    """[left | right] as truncated_svd's column blocks: left, then left flagged as its
+    transpose. Neither right = left.T nor the V x 2V matrix is built."""
+    return [(pair.left, False), (pair.left, True)]

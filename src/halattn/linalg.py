@@ -4,9 +4,10 @@ The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
 Gaussian test matrix and power iterations, each product re-orthonormalized
 by panelled CGS2, then an exact SVD of the small projected matrix by
 QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
-round-robin order. The sparse matrix comes as CSR column blocks, each beside a
-CSR of its transpose, so neither the joined matrix nor its transpose is built.
-Products run on row ranges, one per available core, to the joined CSR's bits.
+round-robin order. The sparse matrix comes as CSR column blocks, each flagged
+as itself or its transpose, so neither the joined matrix nor a transposed copy
+is built: products read a block's own arrays, as CSR on row ranges, one per
+core, or as its transpose's CSC on one thread, to the joined CSR's bits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
@@ -171,31 +172,51 @@ def add_csr_product(indptr, indices, data, x: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _product(blocks: list[sp.csr_matrix], x: np.ndarray, out: np.ndarray,
-             pool: ThreadPoolExecutor) -> np.ndarray:
-    """Add [B_1 | ... | B_m] @ x into out, one thread per row range of about equal nnz. Each row
-    is summed in stored order, block after block, so a zeroed out gets the joined CSR's bits."""
-    x, offsets = np.ascontiguousarray(x), np.cumsum([0] + [block.shape[1] for block in blocks])
-    indptr = sum(block.indptr.astype(np.int64) for block in blocks)  # the joined CSR's
-    cuts = np.searchsorted(indptr, np.arange(1, _WORKERS) * (indptr[-1] / _WORKERS))
-    bounds = np.unique(np.r_[0, cuts, len(indptr) - 1])
-    def fill(a, b):
-        for block, lo, hi in zip(blocks, offsets, offsets[1:]):
-            add_csr_product(block.indptr[a : b + 1], block.indices, block.data, x[lo:hi], out[a:b])
-    list(pool.map(fill, bounds[:-1], bounds[1:]))
+def add_csc_product(indptr, indices, data, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the CSC matrix (indptr, indices, data) times x into the C-contiguous out, column
+    after column: each row's terms in ascending column order, as its canonical CSR sums them."""
+    assert out.flags.c_contiguous, "out.ravel() would copy out, and the kernel write the copy"
+    csc_matvecs(len(out), *x.shape, indptr, indices, data, x.ravel(), out.ravel())
     return out
 
 
-def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int,
+def _times(blocks, x: np.ndarray, out: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
+    """Add A @ x into out, block after block: a plain block by CSR, one thread per row range of
+    about equal nnz, a transposed one by CSC here. A zeroed out gets the joined CSR's bits."""
+    x, offsets = np.ascontiguousarray(x), np.cumsum([0] + [b.shape[not t] for b, t in blocks])
+    for (block, transposed), lo, hi in zip(blocks, offsets, offsets[1:]):
+        if transposed:
+            add_csc_product(block.indptr, block.indices, block.data, x[lo:hi], out)
+            continue
+        cuts = np.searchsorted(block.indptr, np.arange(1, _WORKERS) * (block.nnz / _WORKERS))
+        def fill(a, b):
+            add_csr_product(block.indptr[a : b + 1], block.indices, block.data, x[lo:hi], out[a:b])
+        bounds = np.unique(np.r_[0, cuts, len(out)])
+        list(pool.map(fill, bounds[:-1], bounds[1:]))
+    return out
+
+
+def _times_t(blocks, y: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
+    """A.T @ y, each block's rows B_j.T @ y on a thread of their own: by CSC over a plain
+    block's arrays, by CSR over a transposed one's, each row summed as in the CSR of A.T."""
+    widths = [block.shape[not transposed] for block, transposed in blocks]
+    y, out = np.ascontiguousarray(y), np.zeros((sum(widths), y.shape[1]))
+    def fill(block, rows):
+        add = add_csr_product if block[1] else add_csc_product
+        add(block[0].indptr, block[0].indices, block[0].data, y, rows)
+    list(pool.map(fill, blocks, np.vsplit(out, np.cumsum(widths)[:-1])))
+    return out
+
+
+def truncated_svd(blocks: list[tuple[sp.csr_matrix, bool]], k: int,
                   oversample: int = OVERSAMPLE, power_iters: int = POWER_ITERS,
                   seed: int = 0) -> SvdResult:
     """Rank-k randomized SVD of A = [B_1 | ... | B_m], deterministic given the seed. blocks
-    holds each column block as (B_j, a CSR of B_j.T); A.T @ y is the row stack of B_j.T @ y."""
-    a, at = [b for b, _ in blocks], [bt for _, bt in blocks]
-    if not a or any(b.shape[0] != a[0].shape[0] or bt.shape != b.shape[::-1] for b, bt in blocks):
-        raise LinalgError("blocks must be (B_j, B_j.T) pairs, at least one, all B_j of one height; "
-                          f"got shapes {[(b.shape, bt.shape) for b, bt in blocks]}")
-    rows, cols = a[0].shape[0], sum(b.shape[1] for b in a)
+    holds each column block once, as (M, False) for B_j = M or (M, True) for B_j = M.T."""
+    heights = [block.shape[transposed] for block, transposed in blocks]  # M.T's is M's width
+    if len(set(heights)) != 1:
+        raise LinalgError(f"blocks must be at least one, all of one height; got {heights}")
+    rows, cols = heights[0], sum(block.shape[not transposed] for block, transposed in blocks)
     for name, value, least in (("k", k, 1), ("oversample", oversample, 0),
                                ("power_iters", power_iters, 0), ("seed", seed, 0)):
         if value < least:
@@ -204,20 +225,15 @@ def truncated_svd(blocks: list[tuple[sp.csr_matrix, sp.csr_matrix]], k: int,
     if sample > min(rows, cols):
         raise LinalgError(f"k + oversample = {sample} exceeds min(rows, cols) = {min(rows, cols)}")
     with ThreadPoolExecutor(_WORKERS) as pool:
-        def times_t(y):  # A.T @ y, each B_j.T @ y written into its own rows
-            out = np.zeros((cols, y.shape[1]))
-            for bt, rows_j in zip(at, np.vsplit(out, np.cumsum([b.shape[1] for b in a])[:-1])):
-                _product([bt], y, rows_j, pool)
-            return out
         # The Gaussian test matrix is a temporary: only this first product reads it.
-        q = _cgs2(_product(a, np.random.default_rng(seed).standard_normal((cols, sample)),
-                           np.zeros((rows, sample)), pool))
+        q = _cgs2(_times(blocks, np.random.default_rng(seed).standard_normal((cols, sample)),
+                         np.zeros((rows, sample)), pool))
         for _ in range(power_iters):
-            q = _cgs2(times_t(q))
-            q = _cgs2(_product(a, q, np.zeros((rows, q.shape[1])), pool))
+            q = _cgs2(_times_t(blocks, q, pool))
+            q = _cgs2(_times(blocks, q, np.zeros((rows, q.shape[1])), pool))
         if q.shape[1] < k:
             raise LinalgError(f"range finder captured rank {q.shape[1]} < k = {k}")
-        u_small, s, v_small = _one_sided_jacobi(times_t(q))  # b.T = A.T @ q, freed inside
+        u_small, s, v_small = _one_sided_jacobi(_times_t(blocks, q, pool))  # b.T = A.T @ q, freed
     # b = q.T @ A, and b.T = u_small @ diag(s) @ v_small.T, hence b = v_small @ diag(s) @ u_small.T
     order = np.argsort(-s, kind="stable")[:k]
     u_small, s_k, v_small = u_small[:, order], s[order], v_small[:, order]  # frees the rest

@@ -2,18 +2,19 @@
 
 Binary artifacts share an envelope of 8-byte magic, u64 version, and a u64
 payload checksum (truncated SHA-256) around a u64 record count and named,
-typed records (name, dtype code, shape, little-endian data), which each
-loader checks against its format's layout. Each format has its own version.
-Text artifacts (vocabulary, metrics) stay line-oriented: `_seal` follows
-their body with a `#crc64` line, the same checksum in hex, over the body
-bytes (for the vocabulary, the token lines after its header line), and
-`_unseal` is the one reader of that line for both. Writers go through a
-unique temporary file, fsync and an atomic rename.
+typed records (name, dtype code, shape, little-endian data). A loader streams
+the payload through the checksum, reads each record into its own array and
+checks them against its format's layout; each format has its own version.
+Text artifacts (vocabulary, metrics) stay line-oriented: `_seal` follows their
+body with a `#crc64` line, the same checksum in hex, over the body bytes (the
+vocabulary's token lines after its header); `_unseal` is that line's one
+reader. Writers go through a unique temporary file, fsync and an atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -69,9 +70,9 @@ class FormatError(StoreError):
     pass
 
 
-def _checksum(*parts) -> int:
+def _checksum(*parts, chunks=()) -> int:
     digest = hashlib.sha256()
-    for part in parts:
+    for part in itertools.chain(parts, chunks):  # chunks: an iterator, so never all held
         digest.update(part)
     return int.from_bytes(digest.digest()[:8], "little")
 
@@ -102,36 +103,34 @@ def _write_atomic(path: str | Path, *parts):
 
 
 class _Reader:
-    """Bounds-checked cursor over a byte buffer."""
+    """Bounds-checked reads of a binary artifact's records from its open file, made once the
+    header is checked and then the payload's checksum, streamed in fixed-size chunks: corruption
+    is reported as such before any structural error."""
 
-    def __init__(self, data: memoryview, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    def __init__(self, fh, magic: bytes, path):
+        self.fh, self.path, head = fh, path, fh.read(24)
+        if len(head) < 24:
+            raise TruncatedFileError(path, "file shorter than header")
+        if head[:8] != magic:
+            raise MagicMismatchError(path, f"expected magic {magic!r}, found {head[:8]!r}")
+        version, checksum = struct.unpack("<QQ", head[8:])
+        if version != VERSIONS[magic]:
+            raise VersionError(path, f"unsupported version {version}")
+        if _checksum(chunks=iter(lambda: fh.read(1 << 16), b"")) != checksum:
+            raise ChecksumMismatchError(path, "payload checksum mismatch")
+        self.left = fh.tell() - fh.seek(24)  # the payload's size: the file's end, less the header
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def take(self, n: int, make=bytearray):
+        """make(n) filled with the next n bytes; made only once they are known to be there."""
+        if n > self.left:
             raise TruncatedFileError(self.path, "unexpected end of file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+        self.left, out = self.left - n, make(n)
+        if self.fh.readinto(out) != n:  # the file shrank since its checksum was read
+            raise TruncatedFileError(self.path, "file changed while read")
         return out
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
-
-
-def _open_envelope(data: bytes, magic: bytes, path) -> _Reader:
-    if len(data) < 24:
-        raise TruncatedFileError(path, "file shorter than header")
-    if data[:8] != magic:
-        raise MagicMismatchError(path, f"expected magic {magic!r}, found {data[:8]!r}")
-    version, checksum = struct.unpack("<QQ", data[8:24])
-    if version != VERSIONS[magic]:
-        raise VersionError(path, f"unsupported version {version}")
-    payload = memoryview(data)[24:]
-    if _checksum(payload) != checksum:
-        raise ChecksumMismatchError(path, "payload checksum mismatch")
-    return _Reader(payload, path)
 
 
 def _tensor_from(reader: _Reader, path) -> tuple[str, np.ndarray]:
@@ -144,9 +143,9 @@ def _tensor_from(reader: _Reader, path) -> tuple[str, np.ndarray]:
         raise FormatError(path, f"unknown dtype code {code} for tensor {name!r}")
     dtype = np.dtype(_DTYPE_CODES[code]).newbyteorder("<")
     shape = tuple(reader.u64() for _ in range(reader.u64()))
-    raw = reader.take(math.prod(shape) * dtype.itemsize)
-    try:
-        return name, np.frombuffer(raw, dtype=dtype).reshape(shape)
+    try:  # a fresh array per record, filled straight from the file
+        return name, reader.take(math.prod(shape) * dtype.itemsize,
+                                 lambda _: np.empty(shape, dtype))
     except ValueError as exc:
         raise FormatError(path, f"tensor {name!r} has unusable shape {shape}: {exc}") from None
 
@@ -166,15 +165,15 @@ def _save_records(path: str | Path, magic: bytes, arrays: dict[str, np.ndarray])
 def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.ndarray]:
     """Records of a binary artifact, checked against `layout`: exactly its names,
     each `name: (dtype, ndim)` with ndim None where any is accepted."""
-    reader = _open_envelope(Path(path).read_bytes(), magic, path)
-    records = {}
-    for _ in range(reader.u64()):
-        name, arr = _tensor_from(reader, path)
-        if name in records:
-            raise FormatError(path, f"duplicate tensor {name!r}")
-        records[name] = arr.copy()
-    if reader.pos != len(reader.data):
-        raise FormatError(path, f"{len(reader.data) - reader.pos} trailing bytes")
+    with open(path, "rb") as fh:
+        reader, records = _Reader(fh, magic, path), {}
+        for _ in range(reader.u64()):
+            name, arr = _tensor_from(reader, path)
+            if name in records:
+                raise FormatError(path, f"duplicate tensor {name!r}")
+            records[name] = arr
+    if reader.left:
+        raise FormatError(path, f"{reader.left} trailing bytes")
     for name, (dtype, ndim) in layout.items():
         if name not in records:
             raise FormatError(path, f"missing tensor {name!r}")

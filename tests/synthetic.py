@@ -134,8 +134,8 @@ def encoded_set(id_lists, labels=0, seq_len=None) -> EncodedSet:
 
 
 def one_block(matrix) -> list:
-    """A CSR matrix as truncated_svd's column blocks: one block, beside its transpose."""
-    return [(matrix, matrix.T.tocsr())]
+    """A CSR matrix as truncated_svd's column blocks: one block, flagged as itself."""
+    return [(matrix, False)]
 
 
 def write_labeled_dir(docs: list[RawDocument], root) -> None:

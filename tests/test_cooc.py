@@ -111,7 +111,7 @@ class TestBuildCooc:
     def test_abc_hand_enumeration(self):
         pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
         left = pair.left.toarray()
-        right = pair.right.toarray()
+        right = pair.left.T.toarray()
         expected_left = np.zeros((3, 3))
         expected_left[1, 0] = 1.0
         expected_left[2, 1] = 1.0
@@ -122,12 +122,12 @@ class TestBuildCooc:
     def test_repeated_token_self_cooccurrence(self):
         pair = build_cooc(encoded_set([[0, 0]]), vocab_size=1, window=1)
         assert pair.left.toarray()[0, 0] == 1.0
-        assert pair.right.toarray()[0, 0] == 1.0
+        assert pair.left.T.toarray()[0, 0] == 1.0
 
     def test_one_token_docs_give_empty_matrices(self):
         pair = build_cooc(encoded_set([[0], [1]]), vocab_size=2, window=3)
         assert pair.left.nnz == 0
-        assert pair.right.nnz == 0
+        assert pair.left.T.nnz == 0
 
     def test_windows_do_not_cross_documents(self):
         joined = build_cooc(encoded_set([[0, 1, 0, 1]]), 2, 3)
@@ -164,7 +164,7 @@ class TestBuildCooc:
         pair = build_cooc(docs, vocab_size=6, window=window)
         left, right = brute_force_pair(docs, 6, window)
         np.testing.assert_allclose(pair.left.toarray(), left, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.right.toarray(), right, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.left.T.toarray(), right, rtol=0, atol=1e-12)
 
     @given(
         st.lists(
@@ -177,14 +177,15 @@ class TestBuildCooc:
     @settings(max_examples=60, deadline=None)
     def test_transpose_duality_bitwise(self, docs_ids, window):
         pair = build_cooc(encoded_set(docs_ids), 8, window)
-        assert np.array_equal(pair.right.toarray(), pair.left.toarray().T)
+        assert np.array_equal(pair.left.T.toarray(), pair.left.toarray().T)
 
     def test_order_invariance_bitwise(self):
         rng = np.random.default_rng(3)
         docs = encoded_set([rng.integers(0, 9, rng.integers(2, 20)) for _ in range(25)])
         forward = build_cooc(docs, 9, 4)
         backward = build_cooc(docs[::-1], 9, 4)
-        for a, b in ((forward.left, backward.left), (forward.right, backward.right)):
+        for a, b in ((forward.left, backward.left),
+                     (forward.left.T.tocsr(), backward.left.T.tocsr())):
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
@@ -227,7 +228,7 @@ class TestBuildCooc:
             max(0, n - d) * (1.0 / d) for n in lengths for d in range(1, window + 1)
         )
         assert pair.left.data.sum() == pytest.approx(expected, rel=1e-12)
-        assert pair.right.data.sum() == pytest.approx(expected, rel=1e-12)
+        assert pair.left.T.data.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
@@ -278,10 +279,15 @@ class TestCoocPairChecks:
 class TestConcatRow:
     def test_concat_pair_matches_rows(self):
         pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
-        (left, right), (right_again, left_again) = concat_pair(pair)
+        (left, plain), (left_again, transposed) = concat_pair(pair)
         assert left is pair.left and left_again is pair.left  # shared, not copied
-        assert right is right_again
-        assert right.format == "csr" and right.has_canonical_format
-        assert_same_csr(right, pair.right)
-        joined = sp.hstack([left, right], format="csr").toarray()
+        assert (plain, transposed) == (False, True)
+        assert left.format == "csr" and left.has_canonical_format
+        joined = sp.hstack([left, left_again.T], format="csr").toarray()
         assert np.array_equal(joined, np.hstack([pair.left.toarray(), pair.left.toarray().T]))
+
+    def test_concat_pair_copies_nothing(self):
+        rng = np.random.default_rng(4)
+        pair = build_cooc(encoded_set([rng.integers(0, 300, 60) for _ in range(100)]), 300, 4)
+        assert pair.left.data.nbytes > 64 * 1024
+        assert traced_peak(concat_pair, pair) < 1024  # no copy of left, transposed or not

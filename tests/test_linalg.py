@@ -19,7 +19,8 @@ from halattn.linalg import (
     SvdResult,
     _cgs2,
     _one_sided_jacobi,
-    _product,
+    _times,
+    _times_t,
     add_csr_product,
     embed,
     truncated_svd,
@@ -245,16 +246,19 @@ class TestTruncatedSvd:
             truncated_svd([], k=1)
 
     def test_blocks_of_different_heights(self, rng):
-        (top, top_t), = one_block(random_sparse(rng, 10, 12)[0])
-        (low, low_t), = one_block(random_sparse(rng, 9, 12)[0])
+        top, = one_block(random_sparse(rng, 10, 12)[0])
+        low, = one_block(random_sparse(rng, 9, 12)[0])
         with pytest.raises(LinalgError, match="one height"):
-            truncated_svd([(top, top_t), (low, low_t)], k=2)
+            truncated_svd([top, low], k=2)
 
-    def test_transpose_of_the_wrong_shape(self, rng):
+    def test_transposed_block_height_is_its_width(self, rng):
+        # a flagged block stands for its transpose: (10 x 12).T is 12 rows high, not 10
         sparse, _ = random_sparse(rng, 10, 12)
-        for wrong in (sparse, sparse[:, :11].T.tocsr()):
-            with pytest.raises(LinalgError, match=r"\(\(10, 12\), \(\d+, \d+\)\)"):
-                truncated_svd([(sparse, wrong)], k=2)
+        for wrong in ((sparse, True), (sparse[:, :11].tocsr(), True)):
+            with pytest.raises(LinalgError, match=r"got \[10, 1[12]\]"):
+                truncated_svd([(sparse, False), wrong], k=2)
+        tall, _ = random_sparse(rng, 12, 10)
+        assert truncated_svd([(sparse, False), (tall, True)], k=2, oversample=1).u.shape == (10, 2)
 
 
 def ragged_csr(rng):
@@ -273,9 +277,19 @@ COLUMN_CUTS = ((), (4,), (0, 3), (1, 5, 8), (9,))  # 0 and 9 leave a block with 
 
 
 def column_blocks(matrix, cuts):
-    """The matrix split at the given columns, as CSR blocks."""
+    """The matrix split at the given columns, as CSR blocks, each flagged as itself."""
     bounds = (0, *cuts, matrix.shape[1])
-    return [matrix[:, lo:hi].tocsr() for lo, hi in zip(bounds, bounds[1:])]
+    return [(matrix[:, lo:hi].tocsr(), False) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def spread_csr(rng, size, empty=40):
+    """size x size CSR with `empty` zero rows and as many zero columns, signed values over 16
+    decades: a change in summation order changes the bits."""
+    dense = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-8, 8, (size, size))
+    dense[rng.random((size, size)) > 0.03] = 0.0
+    dense[rng.choice(size, empty, replace=False)] = 0.0
+    dense[:, rng.choice(size, empty, replace=False)] = 0.0
+    return sp.csr_matrix(dense)
 
 
 class TestRowBlockedProduct:
@@ -287,10 +301,12 @@ class TestRowBlockedProduct:
         q = np.asfortranarray(rng.standard_normal((14, 5)))  # _cgs2 returns this layout
         with ThreadPoolExecutor(workers) as pool:
             for cuts in COLUMN_CUTS:
-                product = _product(column_blocks(matrix, cuts), x, np.zeros((14, 5)), pool)
+                product = _times(column_blocks(matrix, cuts), x, np.zeros((14, 5)), pool)
                 assert np.array_equal(product, matrix @ x), cuts
-            transposed = _product([matrix.T.tocsr()], q, np.zeros((9, 5)), pool)
+            transposed = _times([(matrix.T.tocsr(), False)], q, np.zeros((9, 5)), pool)
             assert np.array_equal(transposed, matrix.T @ q)
+            assert np.array_equal(_times([(matrix, True)], q, np.zeros((9, 5)), pool), transposed)
+            assert np.array_equal(_times_t([(matrix, False)], q, pool), transposed)
 
     def test_splits_cover_every_row_once_and_leave_some_block_empty(self, rng, monkeypatch):
         matrix, calls, empty_ranges = ragged_csr(rng), [], 0
@@ -302,7 +318,7 @@ class TestRowBlockedProduct:
             monkeypatch.setattr(linalg, "_WORKERS", workers)
             calls.clear()
             with ThreadPoolExecutor(workers) as pool:
-                _product([matrix], np.ones((9, 2)), np.zeros((14, 2)), pool)
+                _times([(matrix, False)], np.ones((9, 2)), np.zeros((14, 2)), pool)
             assert len(calls) <= workers
             assert sum(rows for rows, _ in calls) == 14
             assert sum(nnz for _, nnz in calls) == matrix.nnz
@@ -310,16 +326,17 @@ class TestRowBlockedProduct:
         assert empty_ranges > 0
 
     def test_writes_only_the_rows_of_out_it_is_given(self, rng, monkeypatch):
-        # truncated_svd stacks each B_j.T @ y into its own rows of one array this way
+        # row ranges and CSC alike add into the view they are given, and nowhere else
         monkeypatch.setattr(linalg, "_WORKERS", 3)
         matrix = ragged_csr(rng)
         x = rng.standard_normal((9, 4))
-        out = np.full((20, 4), 2.0)
-        out[3:17] = 0.0
-        with ThreadPoolExecutor(3) as pool:
-            _product(column_blocks(matrix, (4,)), x, out[3:17], pool)
-        assert np.array_equal(out[3:17], matrix @ x)
-        assert np.all(out[:3] == 2.0) and np.all(out[17:] == 2.0)
+        for blocks in (column_blocks(matrix, (4,)), [(matrix.T.tocsr(), True)]):
+            out = np.full((20, 4), 2.0)
+            out[3:17] = 0.0
+            with ThreadPoolExecutor(3) as pool:
+                _times(blocks, x, out[3:17], pool)
+            assert np.array_equal(out[3:17], matrix @ x)
+            assert np.all(out[:3] == 2.0) and np.all(out[17:] == 2.0)
 
     def test_refuses_an_out_it_cannot_write_in_place(self, rng):
         matrix = ragged_csr(rng)
@@ -334,12 +351,30 @@ class TestRowBlockedProduct:
         rng = np.random.default_rng(13)
         docs = encoded_set([rng.integers(0, 120, rng.integers(2, 40)) for _ in range(150)])
         pair = build_cooc(docs, 120, 4)
-        joined = sp.hstack([pair.left, pair.right], format="csr")
+        joined = sp.hstack([pair.left, pair.left.T], format="csr")
         blocked = truncated_svd(concat_pair(pair), k=10, seed=6)
-        direct = truncated_svd([(joined, joined.T.tocsr())], k=10, seed=6)
+        direct = truncated_svd([(joined, False)], k=10, seed=6)
         assert np.array_equal(blocked.u, direct.u)
         assert np.array_equal(blocked.singular_values, direct.singular_values)
         assert np.array_equal(blocked.vt, direct.vt)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("n_vecs", (1, 42, 310))
+    def test_flagged_pair_products_equal_the_joined_csr_bitwise(self, monkeypatch, workers,
+                                                                n_vecs):
+        # right is exactly left.T: through (left, False) and (left, True), A @ x and A.T @ y
+        # have the bits of the products of the joined CSR [left | left.T] and its transpose's
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        rng = np.random.default_rng(n_vecs)
+        left = spread_csr(rng, 400)
+        assert (left.getnnz(axis=0) == 0).sum() >= 40 and (left.getnnz(axis=1) == 0).sum() >= 40
+        joined = sp.hstack([left, left.T]).tocsr()
+        x = rng.standard_normal((800, n_vecs)) * 10.0 ** rng.uniform(-8, 8, (800, n_vecs))
+        y = np.asfortranarray(rng.standard_normal((400, n_vecs)))  # _cgs2 returns this layout
+        blocks = [(left, False), (left, True)]
+        with ThreadPoolExecutor(workers) as pool:
+            assert np.array_equal(_times(blocks, x, np.zeros((400, n_vecs)), pool), joined @ x)
+            assert np.array_equal(_times_t(blocks, y, pool), joined.T.tocsr() @ y)
 
     def test_svd_bits_do_not_depend_on_worker_count(self, monkeypatch):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
-"""scripts/step_rss.py runs a benchmark workload's sequence in one process and
-prints the max RSS after each step; it has no gate, so these only check its shape."""
+"""scripts/step_rss.py runs a benchmark workload's sequence in one process, each
+repeatable step twice, and prints the max RSS after each call; it has no gate,
+so these only check its shape."""
 
 import re
 import subprocess
@@ -13,16 +14,17 @@ def run(*args):
     return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
 
 
-def test_desk_prints_one_non_decreasing_line_per_step_group():
+def test_desk_prints_one_non_decreasing_line_per_call():
     proc = run("desk", "3")
     assert proc.returncode == 0, proc.stderr
     rows = [re.fullmatch(r"(\S+) +(\S*) +([\d.]+) MB(.*)", line).groups()
             for line in proc.stdout.splitlines()]
-    assert [(stage, pooling) for stage, pooling, _, _ in rows] == [
-        ("imports", ""), ("build-vocab", ""), ("build-hal", ""), ("svd", ""),
-        ("train", "mean"), ("eval", "mean"), ("train", "attention"), ("eval", "attention"),
-        ("attend", "attention")]
-    assert rows[-1][3] == "  x48"  # the attend texts share one line
+    repeated = [("build-vocab", ""), ("build-hal", ""), ("svd", ""), ("train", "mean"),
+                ("eval", "mean"), ("train", "attention"), ("eval", "attention")]
+    assert [(stage, pooling, note) for stage, pooling, _, note in rows] == [
+        ("imports", "", ""),
+        *[(*step, f"  call {n}") for step in repeated for n in (1, 2)],
+        ("attend", "attention", "  x48")]  # the attend texts, called once each, share one line
     peaks = [float(mb) for _, _, mb, _ in rows]
     assert peaks == sorted(peaks)  # a maximum never falls
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,59 @@ class TestCoocRoundTrip:
         assert np.array_equal(loaded.left.indices, pair.left.indices)
         assert np.array_equal(loaded.left.data, pair.left.data)
         assert loaded_vocab.tokens == vocab.tokens
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedLoading:
+    """Binary loaders stream the payload through its checksum, then read each record straight
+    into an array of its own: no whole-file bytes and no copy of a record are held."""
+
+    def test_load_cooc_holds_less_than_the_file_and_a_copy_of_it(self, tmp_path):
+        # Holding the file's bytes beside a copy of every record traced 2.00x the file's size
+        # here; with each record read into its own array it traces 1.63x, the rest being the
+        # int32 CSR that scipy makes of the int64 records and CoocPair's checks.
+        rng = np.random.default_rng(0)
+        vocab_size = 2000
+        docs = encoded_set([rng.zipf(1.3, 200) % vocab_size for _ in range(1500)])
+        pair = build_cooc(docs, vocab_size, 5)
+        path = tmp_path / "pair.cooc"
+        store.save_cooc(pair, Vocabulary.from_tokens([f"w{i}" for i in range(vocab_size)]), path)
+        peak = traced_peak(store.load_cooc, path)
+        assert peak <= 1.8 * path.stat().st_size, peak / path.stat().st_size
+        loaded, _ = store.load_cooc(path)
+        assert np.array_equal(loaded.left.data, pair.left.data)
+
+    def test_record_claiming_more_than_the_file_holds_refused_before_allocating(self, tmp_path):
+        # 2**28 float64 values, 2 GiB, claimed in a file of 70 bytes
+        path = tmp_path / "emb.bin"
+        path.write_bytes(_wrap("embeddings", struct.pack("<Q", 1)
+                               + _record(b"vectors", 0, (2**14, 2**14))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(store.TruncatedFileError, match="unexpected end of file"):
+                store.load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_file_cut_after_its_checksum_was_read_refused(self, table, vocab, tmp_path):
+        path = tmp_path / "emb.bin"
+        store.save_embeddings(table, vocab, path)
+        with open(path, "rb") as fh:
+            reader = store._Reader(fh, store.MAGIC_EMB, path)  # the checksum holds
+            os.truncate(path, 40)  # the record count and one name length are left
+            with pytest.raises(store.TruncatedFileError, match="changed while read"):
+                for _ in range(reader.u64()):
+                    store._tensor_from(reader, path)
 
 
 class TestEmbeddingsRoundTrip:
