@@ -14,8 +14,9 @@ time, and a second call can peak higher than the first (build-hal's does),
 so each repeatable step is called twice here. After each call it prints the
 stage, the pooling, `ru_maxrss` in MB and the call's number; the attend
 texts, called once each, share one line. The first line is the max RSS after
-the imports. It has no gate: a step that exits non-zero is counted on its
-line, and the script exits 1.
+the imports, and whether they loaded the `scipy.sparse` package. It has no
+gate: a step that exits non-zero is counted on its line, and the script
+exits 1.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     name, seed = args
-    print(f"{'imports':<12} {'':<10} {max_rss_mb():7.1f} MB")
+    sparse = "loaded" if "scipy.sparse" in sys.modules else "not loaded"
+    print(f"{'imports':<12} {'':<10} {max_rss_mb():7.1f} MB  scipy.sparse {sparse}")
     failed = False
     with tempfile.TemporaryDirectory(prefix="step_rss-") as tmp:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))

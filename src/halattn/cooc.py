@@ -3,8 +3,9 @@
 Each ordered token pair (context at position j, target at position i, j < i,
 d = i - j <= window) contributes weight 1/d to left[target][context]. Only
 left is built and stored: right[context][target] is left.T, which the SVD
-reads as left flagged as transposed. Left is summed one distance at a time:
-the working memory is one distance's pairs and the sum.
+reads as left flagged as transposed. Left is a `linalg.CsrMatrix`, summed one
+distance at a time by `linalg.csr_sum`: the working memory is one distance's
+pairs and the sum.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import EncodedSet
+from .linalg import CsrMatrix, csr_sum
 
 
 class CoocError(Exception):
@@ -25,30 +26,33 @@ class CoocError(Exception):
 class CoocPair:
     """The left co-occurrence matrix and its window, checked when made; right is left.T."""
 
-    left: sp.csr_matrix  # (V, V), canonical CSR, every stored value > 0
+    left: CsrMatrix  # (V, V), columns strictly increasing in each row, every value > 0
     window: int
 
     @property
     def vocab_size(self) -> int:
-        return int(self.left.shape[0])
+        return self.left.rows
 
     def __post_init__(self):
         if self.window < 1:
             raise CoocError(f"window must be >= 1, got {self.window}")
-        m = self.left
-        if m.shape[0] != m.shape[1]:
+        m, offsets, columns = self.left, self.left.row_offsets, self.left.col_indices
+        if m.rows != m.cols:
             raise CoocError("left must be a square vocab_size x vocab_size matrix")
-        if not m.indptr[-1] == m.indices.size == m.data.size:  # check_format would prune
-            raise CoocError(f"row offsets end at {m.indptr[-1]}, not at {m.indices.size} entries")
-        try:
-            m.check_format(full_check=True)
-        except ValueError as exc:
-            raise CoocError(f"malformed CSR: {exc}") from None
-        rising = np.r_[True, np.diff(m.indices) > 0, True]  # entry j's column > entry j - 1's
-        rising[m.indptr] = True  # a row's first entry; scipy's has_canonical_format is cached
+        if not offsets.ndim == columns.ndim == m.values.ndim == 1 or offsets.size != m.rows + 1:
+            raise CoocError(f"left needs 1-D arrays and {m.rows + 1} row offsets, not shapes "
+                            f"{offsets.shape}, {columns.shape} and {m.values.shape}")
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise CoocError(f"row offsets must start at 0, not at {offsets[0]}, and never fall")
+        if not offsets[-1] == columns.size == m.values.size:
+            raise CoocError(f"row offsets end at {offsets[-1]}, not at {columns.size} entries")
+        if columns.size and not (columns.min() >= 0 and columns.max() < m.cols):
+            raise CoocError(f"column indices must lie in [0, {m.cols})")
+        rising = np.r_[True, columns[1:] > columns[:-1], True]  # entry j's column > j - 1's
+        rising[offsets] = True  # a row's first entry
         if not rising.all():
             raise CoocError("column indices must be strictly increasing within each row")
-        if not np.all(m.data > 0):
+        if not np.all(m.values > 0):
             raise CoocError("stored values must be strictly positive")
 
 
@@ -78,13 +82,14 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     if bad.size:
         raise CoocError(f"document {bad[0]} contains an id outside [0, {vocab_size})")
 
-    left = sp.csr_matrix((vocab_size, vocab_size))
+    left = CsrMatrix(np.zeros(vocab_size + 1, int), np.zeros(0, int), np.zeros(0), vocab_size,
+                     vocab_size)
     for d in range(1, min(window, ids.shape[1] - 1) + 1):
-        left = left + _distance_counts(ids, lengths, vocab_size, d, hal_weight(d, window))
+        left = csr_sum(left, _distance_counts(ids, lengths, vocab_size, d, hal_weight(d, window)))
     return CoocPair(left=left, window=window)
 
 
-def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> sp.csr_matrix:
+def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> CsrMatrix:
     """weight times each (target, context) pair's count at distance d, as a V x V CSR. The
     target*V+context keys are 32-bit while V*V fits; sorted, each run of a key is one entry."""
     real = np.arange(d, ids.shape[1]) < lengths[:, None]  # target slot d + j is a real token
@@ -95,11 +100,10 @@ def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> sp.csr_matr
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: keys.size])  # each run's start
     counts, keys = np.diff(np.r_[first, keys.size]) * weight, keys[first]
     del first
-    return sp.csr_matrix((counts, keys % V, np.searchsorted(keys // V, np.arange(V + 1))),
-                         shape=(V, V))
+    return CsrMatrix(np.searchsorted(keys // V, np.arange(V + 1)), keys % V, counts, V, V)
 
 
-def concat_pair(pair: CoocPair) -> list[tuple[sp.csr_matrix, bool]]:
+def concat_pair(pair: CoocPair) -> list[tuple[CsrMatrix, bool]]:
     """[left | right] as truncated_svd's column blocks: left, then left flagged as its
     transpose. Neither right = left.T nor the V x 2V matrix is built."""
     return [(pair.left, False), (pair.left, True)]

@@ -4,21 +4,22 @@ The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
 Gaussian test matrix and power iterations, each product re-orthonormalized
 by panelled CGS2, then an exact SVD of the small projected matrix by
 QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
-round-robin order. The sparse matrix comes as CSR column blocks, each flagged
-as itself or its transpose, so neither the joined matrix nor a transposed copy
-is built: products read a block's own arrays, as CSR on row ranges, one per
-core, or as its transpose's CSC on one thread, to the joined CSR's bits.
+round-robin order. The sparse matrix comes as `CsrMatrix` column blocks, each
+flagged as itself or its transpose, so neither the joined matrix nor a transposed
+copy is built: products read a block's own arrays, as CSR on row ranges, one per
+core, or as its transpose's CSC on one thread, to the joined CSR's bits. Sums and
+products run scipy's compiled kernels, loaded without the heavy `scipy.sparse`.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 _ORTHO_TOL = 1e-8
 _JACOBI_TOL = 1e-12
@@ -27,6 +28,31 @@ _PANEL = 8  # columns _cgs2 projects per matrix product
 OVERSAMPLE, POWER_ITERS = 10, 2  # truncated_svd's defaults, and the svd command's
 # threads, and row ranges, per sparse product: the cores this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _extension(name: str):
+    """scipy's compiled module `name`: the one imported, else its file, found without importing
+    scipy, loaded alone and registered, so that a later import of its package shares it."""
+    if name not in sys.modules:
+        where = os.path.join(util.find_spec("scipy").submodule_search_locations[0],
+                             *name.split(".")[1:])
+        files = [where + s for s in machinery.EXTENSION_SUFFIXES if os.path.isfile(where + s)]
+        if not files:
+            raise ImportError(f"no compiled {name} at {where}")
+        spec = util.spec_from_file_location(name, files[0])
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_kernels = _extension("scipy.sparse._sparsetools")  # the sparse kernels, without scipy.sparse
+
+
+def _index_dtype(*arrays) -> type:
+    """int32 where every entry of arrays lies in [0, 2**31), as scipy's CSR type chooses (a
+    negative index is kept for the checks to refuse), else int64."""
+    fits = all(not np.size(a) or 0 <= np.min(a) and np.max(a) < 2**31 for a in arrays)
+    return np.int32 if fits else np.int64
 
 
 class LinalgError(Exception):
@@ -53,6 +79,44 @@ class SvdResult:
             resid = np.abs(mat - np.eye(mat.shape[0])).max()
             if resid > _ORTHO_TOL:
                 raise LinalgError(f"{name} orthonormality residual {resid:.2e} exceeds {_ORTHO_TOL}")
+
+
+@dataclass
+class CsrMatrix:
+    """A rows x cols sparse matrix: row i holds values[row_offsets[i] : row_offsets[i + 1]]
+    in the columns of the same range of col_indices. Both index arrays are cast to one
+    _index_dtype, as the kernels take them; an original the caller let go is freed."""
+
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
+    values: np.ndarray
+    rows: int
+    cols: int
+
+    def __post_init__(self):
+        dtype = _index_dtype(self.row_offsets, self.col_indices, [self.rows, self.cols])
+        self.row_offsets = self.row_offsets.astype(dtype, copy=False)
+        self.col_indices = self.col_indices.astype(dtype, copy=False)
+
+    @property
+    def nnz(self) -> int:
+        return self.values.size
+
+
+def csr_sum(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
+    """a + b, as scipy's CSR sum: the kernel merges each row's columns into buffers of
+    nnz(a) + nnz(b) entries, and a result that fills less than half of them is copied out."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise LinalgError(f"cannot add a {b.rows} x {b.cols} matrix to a {a.rows} x {a.cols} one")
+    size = a.nnz + b.nnz
+    dtype = _index_dtype([size, a.rows, a.cols])
+    offsets, columns, values = out = (np.empty(a.rows + 1, dtype), np.empty(size, dtype),
+                                      np.empty(size, np.result_type(a.values, b.values)))
+    index = [np.asarray(x, dtype) for m in (a, b) for x in (m.row_offsets, m.col_indices)]
+    _kernels.csr_plus_csr(a.rows, a.cols, *index[:2], a.values, *index[2:], b.values, *out)
+    nnz = offsets[-1]
+    columns, values = (x[:nnz].copy() if nnz < size // 2 else x[:nnz] for x in (columns, values))
+    return CsrMatrix(offsets, columns, values, a.rows, a.cols)
 
 
 @dataclass
@@ -168,7 +232,7 @@ def add_csr_product(indptr, indices, data, x: np.ndarray, out: np.ndarray) -> np
     """Add the CSR matrix (indptr, indices, data) times x into the C-contiguous out, each row
     summed in stored order, as scipy's CSR @ dense product sums it."""
     assert out.flags.c_contiguous, "out.ravel() would copy out, and the kernel write the copy"
-    csr_matvecs(len(indptr) - 1, *x.shape, indptr, indices, data, x.ravel(), out.ravel())
+    _kernels.csr_matvecs(len(indptr) - 1, *x.shape, indptr, indices, data, x.ravel(), out.ravel())
     return out
 
 
@@ -176,21 +240,23 @@ def add_csc_product(indptr, indices, data, x: np.ndarray, out: np.ndarray) -> np
     """Add the CSC matrix (indptr, indices, data) times x into the C-contiguous out, column
     after column: each row's terms in ascending column order, as its canonical CSR sums them."""
     assert out.flags.c_contiguous, "out.ravel() would copy out, and the kernel write the copy"
-    csc_matvecs(len(out), *x.shape, indptr, indices, data, x.ravel(), out.ravel())
+    _kernels.csc_matvecs(len(out), *x.shape, indptr, indices, data, x.ravel(), out.ravel())
     return out
 
 
 def _times(blocks, x: np.ndarray, out: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
     """Add A @ x into out, block after block: a plain block by CSR, one thread per row range of
     about equal nnz, a transposed one by CSC here. A zeroed out gets the joined CSR's bits."""
-    x, offsets = np.ascontiguousarray(x), np.cumsum([0] + [b.shape[not t] for b, t in blocks])
+    x = np.ascontiguousarray(x)
+    offsets = np.cumsum([0] + [b.rows if t else b.cols for b, t in blocks])
     for (block, transposed), lo, hi in zip(blocks, offsets, offsets[1:]):
         if transposed:
-            add_csc_product(block.indptr, block.indices, block.data, x[lo:hi], out)
+            add_csc_product(block.row_offsets, block.col_indices, block.values, x[lo:hi], out)
             continue
-        cuts = np.searchsorted(block.indptr, np.arange(1, _WORKERS) * (block.nnz / _WORKERS))
+        cuts = np.searchsorted(block.row_offsets, np.arange(1, _WORKERS) * (block.nnz / _WORKERS))
         def fill(a, b):
-            add_csr_product(block.indptr[a : b + 1], block.indices, block.data, x[lo:hi], out[a:b])
+            add_csr_product(block.row_offsets[a : b + 1], block.col_indices, block.values,
+                            x[lo:hi], out[a:b])
         bounds = np.unique(np.r_[0, cuts, len(out)])
         list(pool.map(fill, bounds[:-1], bounds[1:]))
     return out
@@ -199,24 +265,24 @@ def _times(blocks, x: np.ndarray, out: np.ndarray, pool: ThreadPoolExecutor) -> 
 def _times_t(blocks, y: np.ndarray, pool: ThreadPoolExecutor) -> np.ndarray:
     """A.T @ y, each block's rows B_j.T @ y on a thread of their own: by CSC over a plain
     block's arrays, by CSR over a transposed one's, each row summed as in the CSR of A.T."""
-    widths = [block.shape[not transposed] for block, transposed in blocks]
+    widths = [b.rows if t else b.cols for b, t in blocks]
     y, out = np.ascontiguousarray(y), np.zeros((sum(widths), y.shape[1]))
     def fill(block, rows):
         add = add_csr_product if block[1] else add_csc_product
-        add(block[0].indptr, block[0].indices, block[0].data, y, rows)
+        add(block[0].row_offsets, block[0].col_indices, block[0].values, y, rows)
     list(pool.map(fill, blocks, np.vsplit(out, np.cumsum(widths)[:-1])))
     return out
 
 
-def truncated_svd(blocks: list[tuple[sp.csr_matrix, bool]], k: int,
+def truncated_svd(blocks: list[tuple[CsrMatrix, bool]], k: int,
                   oversample: int = OVERSAMPLE, power_iters: int = POWER_ITERS,
                   seed: int = 0) -> SvdResult:
     """Rank-k randomized SVD of A = [B_1 | ... | B_m], deterministic given the seed. blocks
     holds each column block once, as (M, False) for B_j = M or (M, True) for B_j = M.T."""
-    heights = [block.shape[transposed] for block, transposed in blocks]  # M.T's is M's width
+    heights = [b.cols if t else b.rows for b, t in blocks]  # M.T's height is M's width
     if len(set(heights)) != 1:
         raise LinalgError(f"blocks must be at least one, all of one height; got {heights}")
-    rows, cols = heights[0], sum(block.shape[not transposed] for block, transposed in blocks)
+    rows, cols = heights[0], sum(b.rows if t else b.cols for b, t in blocks)
     for name, value, least in (("k", k, 1), ("oversample", oversample, 0),
                                ("power_iters", power_iters, 0), ("seed", seed, 0)):
         if value < least:

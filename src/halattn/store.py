@@ -5,6 +5,7 @@ payload checksum (truncated SHA-256) around a u64 record count and named,
 typed records (name, dtype code, shape, little-endian data). A loader streams
 the payload through the checksum, reads each record into its own array and
 checks them against its format's layout; each format has its own version.
+`load_cooc` frees the int64 index records once `left` holds their int32 copies.
 Text artifacts (vocabulary, metrics) stay line-oriented: `_seal` follows their
 body with a `#crc64` line, the same checksum in hex, over the body bytes (the
 vocabulary's token lines after its header); `_unseal` is that line's one
@@ -23,11 +24,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cooc import CoocError, CoocPair
 from .corpus import Vocabulary
-from .linalg import EmbeddingTable
+from .linalg import CsrMatrix, EmbeddingTable
 from .model import ModelParams
 from .train import Checkpoint, EpochRecord, TrainConfig, TrainError, config_text, parse_config
 
@@ -287,21 +287,19 @@ def save_cooc(pair: CoocPair, vocab: Vocabulary, path: str | Path):
     left = pair.left
     _save_indexed(path, MAGIC_COOC, {
         "window": np.array(pair.window, dtype=np.int64),
-        "indptr": left.indptr.astype(np.int64, copy=False),
-        "indices": left.indices.astype(np.int64, copy=False),
-        "data": left.data.astype(np.float64, copy=False),
+        "indptr": left.row_offsets.astype(np.int64, copy=False),
+        "indices": left.col_indices.astype(np.int64, copy=False),
+        "data": left.values.astype(np.float64, copy=False),
     }, pair.vocab_size, vocab)
 
 
 def load_cooc(path: str | Path) -> tuple[CoocPair, Vocabulary]:
     records, vocab = _load_indexed(path, MAGIC_COOC, _COOC_LAYOUT, lambda r: r["indptr"].size - 1)
-    indptr, indices = records["indptr"], records["indices"]
-    if indptr[-1] != indices.size:  # scipy's constructor would prune the entries past it
-        raise FormatError(path, f"row offsets end at {indptr[-1]}, not at {indices.size} entries")
+    left = CsrMatrix(records.pop("indptr"), records.pop("indices"), records.pop("data"),
+                     vocab.size, vocab.size)
     try:
-        left = sp.csr_matrix((records["data"], indices, indptr), shape=(vocab.size, vocab.size))
         return CoocPair(left=left, window=int(records["window"])), vocab
-    except (ValueError, CoocError) as exc:
+    except CoocError as exc:
         raise FormatError(path, f"invalid co-occurrence pair: {exc}") from None
 
 

@@ -133,11 +133,6 @@ def encoded_set(id_lists, labels=0, seq_len=None) -> EncodedSet:
     return EncodedSet(ids=ids, lengths=lengths, labels=labels)
 
 
-def one_block(matrix) -> list:
-    """A CSR matrix as truncated_svd's column blocks: one block, flagged as itself."""
-    return [(matrix, False)]
-
-
 def write_labeled_dir(docs: list[RawDocument], root) -> None:
     """Write documents in the pos/ neg/ one-file-per-document layout."""
     (root / "pos").mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import imdb_root, requires_imdb
-from synthetic import DESK_CONFIG, encoded_set, make_desk_corpus, one_block, split_desk_corpus
+from conftest import as_scipy, imdb_root, one_block, requires_imdb
+from synthetic import DESK_CONFIG, encoded_set, make_desk_corpus, split_desk_corpus
 from test_gradients import max_gradient_error
 from test_model import params_with, scored_sequence
 
@@ -283,8 +283,8 @@ def test_criterion_7_hal_correctness():
     expected_left[1, 0] = 1.0
     expected_left[2, 1] = 1.0
     expected_left[2, 0] = 0.5
-    toy_ok = np.array_equal(pair.left.toarray(), expected_left) and np.array_equal(
-        pair.left.T.toarray(), expected_left.T
+    toy_ok = np.array_equal(as_scipy(pair.left).toarray(), expected_left) and np.array_equal(
+        as_scipy(pair.left).T.toarray(), expected_left.T
     )
 
     rng = np.random.default_rng(9)
@@ -293,7 +293,7 @@ def test_criterion_7_hal_correctness():
         window = int(rng.integers(1, 7))
         random_pair = build_cooc(_random_corpus(rng), 10, window)
         transpose_ok = transpose_ok and np.array_equal(
-            random_pair.left.T.toarray(), random_pair.left.toarray().T
+            as_scipy(random_pair.left).T.toarray(), as_scipy(random_pair.left).toarray().T
         )
     report(
         7,
@@ -370,8 +370,9 @@ def test_criterion_10_persistence(tmp_path):
 
     ok = store.load_vocab(vocab_path).tokens == vocab.tokens
     loaded_pair, _ = store.load_cooc(cooc_path)
-    ok = ok and np.array_equal(loaded_pair.left.data, pair.left.data)
-    ok = ok and np.array_equal(loaded_pair.left.T.tocsr().indices, pair.left.T.tocsr().indices)
+    ok = ok and np.array_equal(loaded_pair.left.values, pair.left.values)
+    ok = ok and np.array_equal(as_scipy(loaded_pair.left).T.tocsr().indices,
+                               as_scipy(pair.left).T.tocsr().indices)
     loaded_table, loaded_vocab = store.load_embeddings(emb_path)
     ok = ok and np.array_equal(loaded_table.vectors, table.vectors)
     ok = ok and loaded_vocab.tokens == vocab.tokens

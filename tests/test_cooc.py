@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import as_record, as_scipy
 from halattn.corpus import EncodedSet
 from halattn.cooc import CoocError, CoocPair, build_cooc, concat_pair, hal_weight
+from halattn.linalg import CsrMatrix
 from synthetic import encoded_set
 
 
@@ -51,11 +54,13 @@ def merged_once_left(corpus, vocab_size, window):
                          shape=(vocab_size, vocab_size))
 
 
-def assert_same_csr(a, b):
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, name
-        assert np.array_equal(x, y), name
+def assert_same_csr(record, matrix):
+    """The package's CSR record holds a scipy CSR matrix's arrays: same dtypes, same bits."""
+    for ours, theirs in (("row_offsets", "indptr"), ("col_indices", "indices"),
+                         ("values", "data")):
+        x, y = getattr(record, ours), getattr(matrix, theirs)
+        assert x.dtype == y.dtype, ours
+        assert np.array_equal(x, y), ours
 
 
 @st.composite
@@ -110,8 +115,8 @@ class TestHalWeight:
 class TestBuildCooc:
     def test_abc_hand_enumeration(self):
         pair = build_cooc(encoded_set([[0, 1, 2]]), vocab_size=3, window=2)
-        left = pair.left.toarray()
-        right = pair.left.T.toarray()
+        left = as_scipy(pair.left).toarray()
+        right = as_scipy(pair.left).T.toarray()
         expected_left = np.zeros((3, 3))
         expected_left[1, 0] = 1.0
         expected_left[2, 1] = 1.0
@@ -121,26 +126,26 @@ class TestBuildCooc:
 
     def test_repeated_token_self_cooccurrence(self):
         pair = build_cooc(encoded_set([[0, 0]]), vocab_size=1, window=1)
-        assert pair.left.toarray()[0, 0] == 1.0
-        assert pair.left.T.toarray()[0, 0] == 1.0
+        assert as_scipy(pair.left).toarray()[0, 0] == 1.0
+        assert as_scipy(pair.left).T.toarray()[0, 0] == 1.0
 
     def test_one_token_docs_give_empty_matrices(self):
         pair = build_cooc(encoded_set([[0], [1]]), vocab_size=2, window=3)
         assert pair.left.nnz == 0
-        assert pair.left.T.nnz == 0
+        assert as_scipy(pair.left).T.nnz == 0
 
     def test_windows_do_not_cross_documents(self):
         joined = build_cooc(encoded_set([[0, 1, 0, 1]]), 2, 3)
         split_docs = build_cooc(encoded_set([[0, 1], [0, 1]]), 2, 3)
-        assert joined.left.toarray().sum() > split_docs.left.toarray().sum()
+        assert as_scipy(joined.left).toarray().sum() > as_scipy(split_docs.left).toarray().sum()
         expected = np.zeros((2, 2))
         expected[1, 0] = 2.0  # one adjacent pair per document
-        assert np.array_equal(split_docs.left.toarray(), expected)
+        assert np.array_equal(as_scipy(split_docs.left).toarray(), expected)
 
     def test_padding_contributes_nothing(self):
         padded = build_cooc(encoded_set([[1, 1]], seq_len=6), 2, 5)
         tight = build_cooc(encoded_set([[1, 1]]), 2, 5)
-        assert np.array_equal(padded.left.toarray(), tight.left.toarray())
+        assert np.array_equal(as_scipy(padded.left).toarray(), as_scipy(tight.left).toarray())
 
     def test_out_of_range_id_names_document(self):
         with pytest.raises(CoocError, match="document 1"):
@@ -163,8 +168,8 @@ class TestBuildCooc:
         docs = encoded_set(docs_ids)
         pair = build_cooc(docs, vocab_size=6, window=window)
         left, right = brute_force_pair(docs, 6, window)
-        np.testing.assert_allclose(pair.left.toarray(), left, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.left.T.toarray(), right, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(as_scipy(pair.left).toarray(), left, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(as_scipy(pair.left).T.toarray(), right, rtol=0, atol=1e-12)
 
     @given(
         st.lists(
@@ -177,15 +182,15 @@ class TestBuildCooc:
     @settings(max_examples=60, deadline=None)
     def test_transpose_duality_bitwise(self, docs_ids, window):
         pair = build_cooc(encoded_set(docs_ids), 8, window)
-        assert np.array_equal(pair.left.T.toarray(), pair.left.toarray().T)
+        assert np.array_equal(as_scipy(pair.left).T.toarray(), as_scipy(pair.left).toarray().T)
 
     def test_order_invariance_bitwise(self):
         rng = np.random.default_rng(3)
         docs = encoded_set([rng.integers(0, 9, rng.integers(2, 20)) for _ in range(25)])
         forward = build_cooc(docs, 9, 4)
         backward = build_cooc(docs[::-1], 9, 4)
-        for a, b in ((forward.left, backward.left),
-                     (forward.left.T.tocsr(), backward.left.T.tocsr())):
+        for a, b in ((as_scipy(forward.left), as_scipy(backward.left)),
+                     (as_scipy(forward.left).T.tocsr(), as_scipy(backward.left).T.tocsr())):
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
@@ -227,15 +232,16 @@ class TestBuildCooc:
         expected = sum(
             max(0, n - d) * (1.0 / d) for n in lengths for d in range(1, window + 1)
         )
-        assert pair.left.data.sum() == pytest.approx(expected, rel=1e-12)
-        assert pair.left.T.data.sum() == pytest.approx(expected, rel=1e-12)
+        assert pair.left.values.sum() == pytest.approx(expected, rel=1e-12)
+        assert as_scipy(pair.left).T.data.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
         docs = encoded_set([rng.integers(0, 12, rng.integers(2, 30)) for _ in range(20)])
         left = build_cooc(docs, 12, 5).left
-        assert left.shape == (12, 12) and left.indptr[-1] == left.indices.size == left.data.size
-        assert left.has_canonical_format and np.all(left.data > 0)
+        assert (left.rows, left.cols) == (12, 12)
+        assert left.row_offsets[-1] == left.col_indices.size == left.values.size
+        assert as_scipy(left).has_canonical_format and np.all(left.values > 0)
 
     def test_window_below_one_rejected(self):
         with pytest.raises(CoocError, match="window must be >= 1, got 0"):
@@ -248,32 +254,44 @@ class TestCoocPairChecks:
     DENSE = np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.0], [0.25, 1.5, 3.0]])
 
     def test_offsets_ending_early_refused_not_pruned(self):
-        left = sp.csr_matrix(self.DENSE)
-        indices, data = left.indices.copy(), left.data.copy()
-        left.indptr[-1] = 5  # the sixth stored entry lies past the last row's end
+        left = as_record(self.DENSE)
+        indices, data = left.col_indices.copy(), left.values.copy()
+        left.row_offsets[-1] = 5  # the sixth stored entry lies past the last row's end
         with pytest.raises(CoocError, match="row offsets end at 5, not at 6 entries"):
             CoocPair(left=left, window=2)
-        assert np.array_equal(left.indices, indices) and np.array_equal(left.data, data)
+        assert np.array_equal(left.col_indices, indices) and np.array_equal(left.values, data)
 
     @pytest.mark.parametrize("columns", [[2, 1], [1, 1]], ids=["descending", "duplicate"])
     def test_columns_edited_after_a_check_refused(self, columns):
-        # scipy caches has_canonical_format once computed; the check reads the arrays
-        left = sp.csr_matrix(self.DENSE)
+        # each check reads the arrays afresh: nothing is cached from an earlier one
+        left = as_record(self.DENSE)
         CoocPair(left=left, window=2)
-        left.indices[:2] = columns  # row 0's two entries
+        left.col_indices[:2] = columns  # row 0's two entries
         with pytest.raises(CoocError, match="strictly increasing"):
             CoocPair(left=left, window=2)
 
     def test_empty_rows_and_columns_falling_across_rows_accepted(self):
         # indptr [0, 0, 2, 3, 3]: empty first and last rows; row 2 starts below row 1's end
-        left = sp.csr_matrix(np.array([[0.0, 0, 0, 0], [1, 0, 2, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]]))
+        left = as_record(np.array([[0.0, 0, 0, 0], [1, 0, 2, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]]))
         assert CoocPair(left=left, window=2).left.nnz == 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.row_offsets.__setitem__(0, 1), "row offsets must start at 0, not at 1"),
+        (lambda m: dataclasses.replace(m, row_offsets=np.r_[m.row_offsets, 6]),
+         "needs 1-D arrays and 4 row offsets"),
+        (lambda m: dataclasses.replace(m, col_indices=m.col_indices.reshape(2, 3)),
+         r"needs 1-D arrays and 4 row offsets, not shapes \(4,\), \(2, 3\)"),
+    ], ids=["offsets-start-above-0", "offsets-too-long", "indices-2-d"])
+    def test_rules_of_scipys_full_check_refused(self, edit, message):
+        left = as_record(self.DENSE)
+        with pytest.raises(CoocError, match=message):
+            CoocPair(left=edit(left) or left, window=2)
 
     def test_window_and_shape_refused(self):
         with pytest.raises(CoocError, match="window must be >= 1, got 0"):
-            CoocPair(left=sp.csr_matrix(self.DENSE), window=0)
+            CoocPair(left=as_record(self.DENSE), window=0)
         with pytest.raises(CoocError, match="square"):
-            CoocPair(left=sp.csr_matrix(self.DENSE[:2]), window=2)
+            CoocPair(left=as_record(self.DENSE[:2]), window=2)
 
 
 class TestConcatRow:
@@ -282,12 +300,13 @@ class TestConcatRow:
         (left, plain), (left_again, transposed) = concat_pair(pair)
         assert left is pair.left and left_again is pair.left  # shared, not copied
         assert (plain, transposed) == (False, True)
-        assert left.format == "csr" and left.has_canonical_format
-        joined = sp.hstack([left, left_again.T], format="csr").toarray()
-        assert np.array_equal(joined, np.hstack([pair.left.toarray(), pair.left.toarray().T]))
+        assert isinstance(left, CsrMatrix) and as_scipy(left).has_canonical_format
+        joined = sp.hstack([as_scipy(left), as_scipy(left_again).T], format="csr").toarray()
+        dense = as_scipy(pair.left).toarray()
+        assert np.array_equal(joined, np.hstack([dense, dense.T]))
 
     def test_concat_pair_copies_nothing(self):
         rng = np.random.default_rng(4)
         pair = build_cooc(encoded_set([rng.integers(0, 300, 60) for _ in range(100)]), 300, 4)
-        assert pair.left.data.nbytes > 64 * 1024
+        assert pair.left.values.nbytes > 64 * 1024
         assert traced_peak(concat_pair, pair) < 1024  # no copy of left, transposed or not

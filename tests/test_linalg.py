@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
-from synthetic import encoded_set, one_block
+from conftest import as_record, as_scipy, one_block
+from synthetic import encoded_set
 
 from halattn import linalg
 from halattn.cooc import build_cooc, concat_pair
 from halattn.linalg import (
     ConvergenceError,
+    CsrMatrix,
     EmbeddingTable,
     LinalgError,
     SvdResult,
@@ -22,6 +24,7 @@ from halattn.linalg import (
     _times,
     _times_t,
     add_csr_product,
+    csr_sum,
     embed,
     truncated_svd,
 )
@@ -254,11 +257,12 @@ class TestTruncatedSvd:
     def test_transposed_block_height_is_its_width(self, rng):
         # a flagged block stands for its transpose: (10 x 12).T is 12 rows high, not 10
         sparse, _ = random_sparse(rng, 10, 12)
-        for wrong in ((sparse, True), (sparse[:, :11].tocsr(), True)):
+        for wrong in ((as_record(sparse), True), (as_record(sparse[:, :11]), True)):
             with pytest.raises(LinalgError, match=r"got \[10, 1[12]\]"):
-                truncated_svd([(sparse, False), wrong], k=2)
+                truncated_svd([(as_record(sparse), False), wrong], k=2)
         tall, _ = random_sparse(rng, 12, 10)
-        assert truncated_svd([(sparse, False), (tall, True)], k=2, oversample=1).u.shape == (10, 2)
+        assert truncated_svd([(as_record(sparse), False), (as_record(tall), True)], k=2,
+                             oversample=1).u.shape == (10, 2)
 
 
 def ragged_csr(rng):
@@ -279,7 +283,7 @@ COLUMN_CUTS = ((), (4,), (0, 3), (1, 5, 8), (9,))  # 0 and 9 leave a block with 
 def column_blocks(matrix, cuts):
     """The matrix split at the given columns, as CSR blocks, each flagged as itself."""
     bounds = (0, *cuts, matrix.shape[1])
-    return [(matrix[:, lo:hi].tocsr(), False) for lo, hi in zip(bounds, bounds[1:])]
+    return [(as_record(matrix[:, lo:hi]), False) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def spread_csr(rng, size, empty=40):
@@ -303,22 +307,23 @@ class TestRowBlockedProduct:
             for cuts in COLUMN_CUTS:
                 product = _times(column_blocks(matrix, cuts), x, np.zeros((14, 5)), pool)
                 assert np.array_equal(product, matrix @ x), cuts
-            transposed = _times([(matrix.T.tocsr(), False)], q, np.zeros((9, 5)), pool)
+            transposed = _times([(as_record(matrix.T), False)], q, np.zeros((9, 5)), pool)
             assert np.array_equal(transposed, matrix.T @ q)
-            assert np.array_equal(_times([(matrix, True)], q, np.zeros((9, 5)), pool), transposed)
-            assert np.array_equal(_times_t([(matrix, False)], q, pool), transposed)
+            record = as_record(matrix)
+            assert np.array_equal(_times([(record, True)], q, np.zeros((9, 5)), pool), transposed)
+            assert np.array_equal(_times_t([(record, False)], q, pool), transposed)
 
     def test_splits_cover_every_row_once_and_leave_some_block_empty(self, rng, monkeypatch):
         matrix, calls, empty_ranges = ragged_csr(rng), [], 0
         def recording(n_row, n_col, n_vecs, indptr, *rest):  # one call per row range
             calls.append((n_row, int(indptr[-1] - indptr[0])))
             csr_matvecs(n_row, n_col, n_vecs, indptr, *rest)
-        monkeypatch.setattr(linalg, "csr_matvecs", recording)
+        monkeypatch.setattr(linalg._kernels, "csr_matvecs", recording)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(linalg, "_WORKERS", workers)
             calls.clear()
             with ThreadPoolExecutor(workers) as pool:
-                _times([(matrix, False)], np.ones((9, 2)), np.zeros((14, 2)), pool)
+                _times([(as_record(matrix), False)], np.ones((9, 2)), np.zeros((14, 2)), pool)
             assert len(calls) <= workers
             assert sum(rows for rows, _ in calls) == 14
             assert sum(nnz for _, nnz in calls) == matrix.nnz
@@ -330,7 +335,7 @@ class TestRowBlockedProduct:
         monkeypatch.setattr(linalg, "_WORKERS", 3)
         matrix = ragged_csr(rng)
         x = rng.standard_normal((9, 4))
-        for blocks in (column_blocks(matrix, (4,)), [(matrix.T.tocsr(), True)]):
+        for blocks in (column_blocks(matrix, (4,)), [(as_record(matrix.T), True)]):
             out = np.full((20, 4), 2.0)
             out[3:17] = 0.0
             with ThreadPoolExecutor(3) as pool:
@@ -351,9 +356,9 @@ class TestRowBlockedProduct:
         rng = np.random.default_rng(13)
         docs = encoded_set([rng.integers(0, 120, rng.integers(2, 40)) for _ in range(150)])
         pair = build_cooc(docs, 120, 4)
-        joined = sp.hstack([pair.left, pair.left.T], format="csr")
+        joined = sp.hstack([as_scipy(pair.left), as_scipy(pair.left).T], format="csr")
         blocked = truncated_svd(concat_pair(pair), k=10, seed=6)
-        direct = truncated_svd([(joined, False)], k=10, seed=6)
+        direct = truncated_svd(one_block(joined), k=10, seed=6)
         assert np.array_equal(blocked.u, direct.u)
         assert np.array_equal(blocked.singular_values, direct.singular_values)
         assert np.array_equal(blocked.vt, direct.vt)
@@ -371,7 +376,8 @@ class TestRowBlockedProduct:
         joined = sp.hstack([left, left.T]).tocsr()
         x = rng.standard_normal((800, n_vecs)) * 10.0 ** rng.uniform(-8, 8, (800, n_vecs))
         y = np.asfortranarray(rng.standard_normal((400, n_vecs)))  # _cgs2 returns this layout
-        blocks = [(left, False), (left, True)]
+        record = as_record(left)
+        blocks = [(record, False), (record, True)]
         with ThreadPoolExecutor(workers) as pool:
             assert np.array_equal(_times(blocks, x, np.zeros((400, n_vecs)), pool), joined @ x)
             assert np.array_equal(_times_t(blocks, y, pool), joined.T.tocsr() @ y)
@@ -398,6 +404,48 @@ class TestRowBlockedProduct:
         with pytest.raises(LinalgError, match="rank"):
             truncated_svd(one_block(rank_two), k=4, oversample=2, seed=0)
         assert threading.active_count() == before
+
+
+def buffer_size(x: np.ndarray) -> int:
+    """The entries of the array that x is a view of, through every level of views."""
+    while isinstance(x.base, np.ndarray):
+        x = x.base
+    return x.size
+
+
+class TestCsrRecord:
+    """The package's CSR record, and its sum by scipy's kernel, against scipy's CSR type."""
+
+    @pytest.mark.parametrize("shape, last, expected", [
+        ((3, 4), 5, np.int32), ((3, 2**31), 5, np.int64), ((3, 4), 2**31, np.int64)],
+        ids=["fits", "too-many-columns", "offset-too-large"])
+    def test_index_dtype_is_scipys(self, shape, last, expected):
+        record = CsrMatrix(np.array([0, 1, 2, last]), np.array([0, 1, 3]), np.ones(3), *shape)
+        assert record.row_offsets.dtype == record.col_indices.dtype == expected
+        kept = np.array([0, 1, 3], np.int32)
+        assert CsrMatrix(np.arange(4, dtype=np.int32), kept, np.ones(3), 3, 4).col_indices is kept
+
+    @pytest.mark.parametrize("cancel", [0.0, 0.5, 1.0], ids=["none", "half", "all"])
+    def test_sum_equals_scipys_add_bitwise(self, cancel):
+        # values over 16 decades and entries that cancel to an exact zero, which the kernel
+        # drops: a result under half its buffers is copied out, as scipy prunes it
+        rng = np.random.default_rng(int(cancel * 10))
+        a = spread_csr(rng, 120, empty=10)
+        b = spread_csr(rng, 120, empty=10)
+        b = b + sp.csr_matrix((-a.data * (rng.random(a.nnz) < cancel), a.indices, a.indptr),
+                              shape=a.shape)
+        b.eliminate_zeros()
+        ours, theirs = csr_sum(as_record(a), as_record(b)), a + b
+        assert ours.nnz < (a.nnz + b.nnz) // 2 if cancel == 1.0 else ours.nnz > 0
+        for mine, scipys in ((ours.row_offsets, theirs.indptr), (ours.col_indices, theirs.indices),
+                             (ours.values, theirs.data)):
+            assert mine.dtype == scipys.dtype and np.array_equal(mine, scipys)
+            assert buffer_size(mine) == buffer_size(scipys)  # copied out, or a view of the buffer
+
+    def test_sum_of_different_shapes_refused(self):
+        # the kernel would read past the smaller matrix's row offsets
+        with pytest.raises(LinalgError, match="cannot add a 2 x 3 matrix to a 3 x 3 one"):
+            csr_sum(as_record(np.eye(3)), as_record(np.ones((2, 3))))
 
 
 class TestEmbed:

@@ -22,7 +22,7 @@ def test_desk_prints_one_non_decreasing_line_per_call():
     repeated = [("build-vocab", ""), ("build-hal", ""), ("svd", ""), ("train", "mean"),
                 ("eval", "mean"), ("train", "attention"), ("eval", "attention")]
     assert [(stage, pooling, note) for stage, pooling, _, note in rows] == [
-        ("imports", "", ""),
+        ("imports", "", "  scipy.sparse not loaded"),
         *[(*step, f"  call {n}") for step in repeated for n in (1, 2)],
         ("attend", "attention", "  x48")]  # the attend texts, called once each, share one line
     peaks = [float(mb) for _, _, mb, _ in rows]
