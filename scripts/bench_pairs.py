@@ -8,21 +8,27 @@ Usage, from the repository root:
 
 For each seed and each workload of BENCHMARK.json it runs `perfbench/run.py`,
 for BENCHMARK.json's `run_seconds`, once on the parent revision and once on
-the working tree. The parent is the committed files of
---parent, unpacked with `git archive` into a temporary directory, so it
-builds from its own source and leaves nothing in `.git`. The side that runs
-first alternates from one pair to the next. Each run's last stdout line must
-be its result object; the script exits 1 if any run's is not, if any run
-reports failed operations, or if runs report different `nproc` or
-`blas_threads`: the file keeps one environment line, and timings depend on
-both. --trace 1 records the runs under "traced"
-instead of "pairs"; an existing --out file keeps its other key.
+the working tree. Both sides run from copies in one temporary directory: the
+parent is the committed files of --parent, unpacked with `git archive`, so it
+builds from its own source and leaves nothing in `.git`; the change is a
+snapshot of the working tree's files, tracked and untracked, less those git
+ignores, taken when the script starts, so both sides run from fresh copies
+side by side. The side that runs first alternates from one pair to the next.
+Each run's last stdout line must be its result object; the script exits 1 if
+any run's is not, if any run reports failed operations, or if runs report
+different `nproc` or `blas_threads`: the file keeps one environment line, and
+timings depend on both. --trace 1 records the runs under "traced" instead of
+"pairs"; an existing --out file keeps its other key. The summary marks each
+end-to-end metric that regressed past its BENCHMARK.json bound, or whose
+parent runs spread too widely for the bound to tell.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -78,12 +84,39 @@ def environment_problem(kept: dict, env: dict | None) -> str | None:
     return f"environment differs from the first run's: {'; '.join(differ)}" if differ else None
 
 
-def summary(runs: list[dict], better: dict[str, str]) -> list[str]:
+def snapshot(root: Path, dest: Path):
+    """Copy the working tree's files at root into dest: every tracked file still on disk,
+    as it is now, and every untracked one that git does not ignore."""
+    dest.mkdir(parents=True, exist_ok=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True).stdout
+    for name in (os.fsdecode(n) for n in listed.split(b"\0") if n):
+        if (root / name).is_file():  # a tracked file deleted from the tree is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression rule for an end-to-end metric with a relative bound: UNRESOLVED
+    where the parent's quartile spread exceeds the bound and not every change run is better
+    than every parent run; else REGRESSED where the change's median is worse than the
+    parent's by more than the bound; else ''."""
+    sign = -1 if better == "higher" else 1  # > 0: change better
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    if q3 - q1 > bound * abs(median) and not all(sign * (p - c) > 0
+                                                 for p in parent for c in change):
+        return "UNRESOLVED"
+    if sign * (statistics.median(change) - median) > bound * abs(median):
+        return "REGRESSED"
+    return ""
+
+
+def summary(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
     """Per workload and metric: parent and change medians [quartiles], and the pairs in
     which the change is better, by the metric's `better` ("lower" or "higher"; lower if
     unlisted); ties count for neither side. GAIN marks a metric whose change is better in
     at least 9 of 10 pairs and whose median moves the better way by more than the
-    parent's quartile spread."""
+    parent's quartile spread; a metric with a bound is marked by `verdict`."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs
@@ -99,9 +132,12 @@ def summary(runs: list[dict], better: dict[str, str]) -> list[str]:
             sign = -1 if better.get(metric, "lower") == "higher" else 1  # > 0: change better
             wins = sum(sign * (p - c) > 0 for p, c in pairs)
             gain = 10 * wins >= 9 * len(pairs) and sign * (q[0][1] - q[1][1]) > q[0][2] - q[0][0]
+            mark = (verdict(*cols, better.get(metric, "lower"), bounds[metric])
+                    if metric in bounds else "")
             out.append(f"{workload:<11} {metric:<34} {q[0][1]:10.4g} [{q[0][0]:.4g}-{q[0][2]:.4g}]"
                        f" -> {q[1][1]:10.4g} [{q[1][0]:.4g}-{q[1][2]:.4g}]"
-                       f"  change better {wins}/{len(pairs)}{'  GAIN' if gain else ''}")
+                       f"  change better {wins}/{len(pairs)}{'  GAIN' if gain else ''}"
+                       f"{'  ' + mark if mark else ''}")
     return out
 
 
@@ -128,16 +164,19 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     command = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                f"--trace {args.trace}")
     runs, problems, pair = [], [], 0
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        sides["parent"].mkdir()
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"parent": Path(tmp), "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", sides["parent"]], input=archive, check=True)
+        snapshot(ROOT, sides["change"])
         for seed in args.seeds:
             for workload in workloads:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -168,7 +207,7 @@ def main(argv=None) -> int:
                         "order": "parent and change alternate which runs first, pair by pair",
                         "runs": runs}
     out.write_text(dump(doc), encoding="utf-8")
-    print("\n".join(summary(runs, better)))
+    print("\n".join(summary(runs, better, bounds)))
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0

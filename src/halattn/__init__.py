@@ -1,13 +1,12 @@
 """Distance-weighted co-occurrence embeddings with attention pooling."""
 
-from .cooc import CoocPair, build_cooc, concat_pair, hal_weight
+from .cooc import CoocPair, build_cooc, concat_pair
 from .corpus import (
     EncodedDocument,
     EncodedSet,
     RawDocument,
     Vocabulary,
     build_vocab,
-    encode,
     encode_corpus,
     load_labeled_dir,
     tokenize,

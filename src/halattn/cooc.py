@@ -4,8 +4,8 @@ Each ordered token pair (context at position j, target at position i, j < i,
 d = i - j <= window) contributes weight 1/d to left[target][context]. Only
 left is built and stored: right[context][target] is left.T, which the SVD
 reads as left flagged as transposed. Left is a `linalg.CsrMatrix`, summed one
-distance at a time by `linalg.csr_sum`: the working memory is one distance's
-pairs and the sum.
+distance at a time by `linalg.csr_sum`, each distance's pair counts times
+1.0 / d: the working memory is one distance's pairs and the sum.
 """
 
 from __future__ import annotations
@@ -56,15 +56,6 @@ class CoocPair:
             raise CoocError("stored values must be strictly positive")
 
 
-def hal_weight(d: int, window: int) -> float:
-    """Inverse-distance weight: 1/d for 0 < d <= window, else 0."""
-    if window < 1:
-        raise CoocError(f"window must be >= 1, got {window}")
-    if 0 < d <= window:
-        return 1.0 / d
-    return 0.0
-
-
 def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     """Accumulate directional co-occurrence counts over encoded documents.
 
@@ -85,12 +76,12 @@ def build_cooc(corpus: EncodedSet, vocab_size: int, window: int) -> CoocPair:
     left = CsrMatrix(np.zeros(vocab_size + 1, int), np.zeros(0, int), np.zeros(0), vocab_size,
                      vocab_size)
     for d in range(1, min(window, ids.shape[1] - 1) + 1):
-        left = csr_sum(left, _distance_counts(ids, lengths, vocab_size, d, hal_weight(d, window)))
+        left = csr_sum(left, _distance_counts(ids, lengths, vocab_size, d))
     return CoocPair(left=left, window=window)
 
 
-def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> CsrMatrix:
-    """weight times each (target, context) pair's count at distance d, as a V x V CSR. The
+def _distance_counts(ids, lengths, V: int, d: int) -> CsrMatrix:
+    """1/d times each (target, context) pair's count at distance d, as a V x V CSR. The
     target*V+context keys are 32-bit while V*V fits; sorted, each run of a key is one entry."""
     real = np.arange(d, ids.shape[1]) < lengths[:, None]  # target slot d + j is a real token
     keys = np.multiply(ids[:, d:][real], V, dtype=np.int32 if V * V < 2**31 else np.int64)
@@ -98,7 +89,7 @@ def _distance_counts(ids, lengths, V: int, d: int, weight: float) -> CsrMatrix:
     del real
     keys.sort()  # in place; rows, and columns within a row, come out ascending
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: keys.size])  # each run's start
-    counts, keys = np.diff(np.r_[first, keys.size]) * weight, keys[first]
+    counts, keys = np.diff(np.r_[first, keys.size]) * (1.0 / d), keys[first]
     del first
     return CsrMatrix(np.searchsorted(keys // V, np.arange(V + 1)), keys % V, counts, V, V)
 

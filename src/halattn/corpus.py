@@ -127,11 +127,6 @@ def build_vocab(docs: list[RawDocument], cap: int) -> Vocabulary:
     return Vocabulary.from_tokens(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:cap])
 
 
-def encode(doc: RawDocument, vocab: Vocabulary, seq_len: int) -> EncodedDocument:
-    """Encode to exactly `seq_len` slots: drop OOV tokens, truncate, right-pad with id 0."""
-    return encode_corpus([doc], vocab, seq_len)[0][0]
-
-
 def encode_corpus(
     docs: list[RawDocument], vocab: Vocabulary, seq_len: int, skip_empty: bool = False
 ) -> tuple[EncodedSet, int]:

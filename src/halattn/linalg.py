@@ -4,7 +4,8 @@ The randomized range finder of Halko, Martinsson and Tropp (2011): a seeded
 Gaussian test matrix and power iterations, each product re-orthonormalized
 by panelled CGS2, then an exact SVD of the small projected matrix by
 QR-preconditioned one-sided Jacobi (Drmac and Veselic, 2008) in Brent-Luk
-round-robin order. The sparse matrix comes as `CsrMatrix` column blocks, each
+round-robin order, each to a fixed tolerance, `_DROP_TOL` and `_JACOBI_TOL`.
+The sparse matrix comes as `CsrMatrix` column blocks, each
 flagged as itself or its transpose, so neither the joined matrix nor a transposed
 copy is built: products read a block's own arrays, as CSR on row ranges, one per
 core, or as its transpose's CSC on one thread, to the joined CSR's bits. Sums and
@@ -22,6 +23,7 @@ from importlib import machinery, util
 import numpy as np
 
 _ORTHO_TOL = 1e-8
+_DROP_TOL = 1e-12
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 30
 _PANEL = 8  # columns _cgs2 projects per matrix product
@@ -138,19 +140,19 @@ class EmbeddingTable:
         return self.vectors[ids].astype(np.float64)
 
 
-def _cgs2(basis: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
+def _cgs2(basis: np.ndarray) -> np.ndarray:
     """Orthonormalize columns by classical Gram-Schmidt applied twice (CGS2).
 
     Each panel of _PANEL columns goes through two rounds. A round projects it
     against the earlier panels' basis by one matrix product, then each column
     twice against the panel's kept columns, and normalizes. A column whose norm
-    after both rounds is at most drop_tol of its original norm is dropped.
+    after both rounds is at most _DROP_TOL of its original norm is dropped.
     """
     m, n = basis.shape
     qt, kept = np.empty((n, m), dtype=np.float64), 0  # kept basis vectors as rows
     for start in range(0, n, _PANEL):
         panel = np.array(basis[:, start : start + _PANEL].T, dtype=np.float64)
-        first, floors = kept, drop_tol * np.linalg.norm(panel, axis=1)  # in each column's scale
+        first, floors = kept, _DROP_TOL * np.linalg.norm(panel, axis=1)  # in each column's scale
         for _ in range(2):
             panel -= (panel @ qt[:first].T) @ qt[:first]
             kept, survivors = first, []
@@ -176,7 +178,7 @@ def _round_robin(n: int) -> list[np.ndarray]:
 
 
 def _one_sided_jacobi(
-    g: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS, tol: float = _JACOBI_TOL
+    g: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD of a tall matrix: g = u @ diag(s) @ v.T.
 
@@ -204,7 +206,7 @@ def _one_sided_jacobi(
             gram = x[:, :, :size] @ x[:, :, :size].transpose(0, 2, 1)  # per pair, 2 x 2
             app, aqq, apq = gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1]
             denom = np.sqrt(app * aqq)
-            act = ~((denom == 0.0) | (np.abs(apq) <= tol * denom))  # pairs not skipped
+            act = ~((denom == 0.0) | (np.abs(apq) <= _JACOBI_TOL * denom))  # pairs not skipped
             if not act.any():
                 continue
             rotated = True
@@ -220,8 +222,8 @@ def _one_sided_jacobi(
         if not rotated:
             break
     else:
-        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps: worst "
-                               f"|apq|/sqrt(app*aqq) in the last sweep {worst:.2e} > {tol:.0e}")
+        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps: worst |apq|"
+                               f"/sqrt(app*aqq) in the last sweep {worst:.2e} > {_JACOBI_TOL:.0e}")
     s = np.linalg.norm(cols[:n, :size], axis=1)
     u_r = np.zeros((n, q.shape[1]))  # a zero singular value gets a zero u column
     np.divide(cols[:n, : q.shape[1]], s[:, None], out=u_r, where=s[:, None] > 0)

@@ -55,10 +55,10 @@ class DivergenceError(ModelError):
 class ModelParams:
     """The nine trainable tensors, in checkpoint order.
 
-    The same record holds their gradients and Adam's two moments. The
-    tensors are float64 views into one contiguous buffer, `flat`, built
-    here, so Adam updates all nine in one pass. Change a tensor in place;
-    an assigned array is not part of `flat`.
+    The same record holds their gradients. The tensors are float64 views
+    into one contiguous buffer, `flat`, built here, so Adam updates all
+    nine in one pass. Change a tensor in place; an assigned array is not
+    part of `flat`.
     """
 
     w_a: np.ndarray  # (d_a, k)
@@ -90,13 +90,13 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray  # Adam's two moments, float64 arrays laid out as ModelParams.flat
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(m=params.map(np.zeros_like), v=params.map(np.zeros_like))
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def param_shapes(config) -> dict[str, tuple[int, ...]]:
@@ -359,7 +359,7 @@ def adam_step(
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    grad, m, v = grads.flat, state.m.flat, state.v.flat
+    grad, m, v = grads.flat, state.m, state.v
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2

@@ -15,7 +15,6 @@ reader. Writers go through a unique temporary file, fsync and an atomic rename.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 import struct
@@ -70,9 +69,9 @@ class FormatError(StoreError):
     pass
 
 
-def _checksum(*parts, chunks=()) -> int:
+def _checksum(parts) -> int:
     digest = hashlib.sha256()
-    for part in itertools.chain(parts, chunks):  # chunks: an iterator, so never all held
+    for part in parts:  # an iterator of a file's chunks never holds the file whole
         digest.update(part)
     return int.from_bytes(digest.digest()[:8], "little")
 
@@ -116,7 +115,7 @@ class _Reader:
         version, checksum = struct.unpack("<QQ", head[8:])
         if version != VERSIONS[magic]:
             raise VersionError(path, f"unsupported version {version}")
-        if _checksum(chunks=iter(lambda: fh.read(1 << 16), b"")) != checksum:
+        if _checksum(iter(lambda: fh.read(1 << 16), b"")) != checksum:
             raise ChecksumMismatchError(path, "payload checksum mismatch")
         self.left = fh.tell() - fh.seek(24)  # the payload's size: the file's end, less the header
 
@@ -158,7 +157,7 @@ def _save_records(path: str | Path, magic: bytes, arrays: dict[str, np.ndarray])
         parts += [struct.pack(f"<Q{len(encoded)}sQQ{arr.ndim}Q", len(encoded), encoded,
                               _DTYPE_OF[arr.dtype], arr.ndim, *arr.shape),
                   np.ascontiguousarray(arr)]
-    header = magic + struct.pack("<QQ", VERSIONS[magic], _checksum(*parts))
+    header = magic + struct.pack("<QQ", VERSIONS[magic], _checksum(parts))
     _write_atomic(path, header, *parts)  # record by record: no copy of the whole file
 
 
@@ -189,7 +188,7 @@ def _load_records(path: str | Path, magic: bytes, layout: dict) -> dict[str, np.
 
 def _seal(head: bytes, body: bytes) -> bytes:
     """A text artifact: head, body, then the `#crc64` line over body."""
-    return head + body + f"{_CRC_PREFIX}{_checksum(body):016x}\n".encode()
+    return head + body + f"{_CRC_PREFIX}{_checksum([body]):016x}\n".encode()
 
 
 def _unseal(data: bytes, start: int, path) -> list[str]:
@@ -211,7 +210,7 @@ def _unseal(data: bytes, start: int, path) -> list[str]:
     digits = crc[len(_CRC_PREFIX) :]
     if not crc.startswith(_CRC_PREFIX) or len(digits) != 16 or digits.strip("0123456789abcdef"):
         raise FormatError(path, f"malformed checksum line {crc!r}")
-    if f"{_checksum(data[start : len(data) - len(crc) - 1]):016x}" != digits:
+    if f"{_checksum([data[start : len(data) - len(crc) - 1]]):016x}" != digits:
         raise ChecksumMismatchError(path, "checksum mismatch")
     return text[:end].split("\n")[:-1]
 

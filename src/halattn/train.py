@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import EncodedSet, RawDocument, Vocabulary, encode
+from .corpus import EncodedSet, RawDocument, Vocabulary, encode_corpus
 from .linalg import EmbeddingTable
 from .model import (
     AdamState,
@@ -288,7 +288,7 @@ def inspect_attention(
     if checkpoint.config.pooling != "attention":
         raise TrainError("attention inspection requires an attention-pooling checkpoint")
     check_embeddings(embeddings, checkpoint.config)
-    doc = encode(RawDocument(text=text, label=0), vocab, checkpoint.config.seq_len)
+    doc = encode_corpus([RawDocument(text=text, label=0)], vocab, checkpoint.config.seq_len)[0][0]
     pooled, alphas = pool_sequence(
         embeddings.gather(doc.ids), doc.mask, checkpoint.params, "attention",
         temperature=checkpoint.config.temperature,

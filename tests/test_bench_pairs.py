@@ -1,8 +1,11 @@
 """scripts/bench_pairs.py keeps one environment line per BENCH file, so it
-must refuse runs whose core or BLAS thread counts differ; its summary counts
-the pairs in which the change is better, by each metric's direction."""
+must refuse runs whose core or BLAS thread counts differ; it runs the change
+from a snapshot of the working tree; its summary counts the pairs in which the
+change is better, by each metric's direction, and marks end-to-end metrics
+that regressed past their bound or spread too widely to tell."""
 
 import importlib.util
+import subprocess
 import types
 from pathlib import Path
 
@@ -78,6 +81,57 @@ PARENT = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
     ("lower", PARENT, "0/10", False),  # ties count for neither side
 ], ids=["lower-gain", "higher-gain", "higher-loss", "within-spread", "eight-of-ten", "ties"])
 def test_summary_counts_better_pairs(bench_pairs, better, change, counted, gain):
-    line, = bench_pairs.summary(_runs("m", PARENT, change), {"m": better})
+    line, = bench_pairs.summary(_runs("m", PARENT, change), {"m": better}, {})
     assert f"change better {counted}" in line
     assert line.endswith("GAIN") == gain
+
+
+# PARENT's quartiles are 9.975 and 10.2 about a median of 10.05: a spread of 2.2%.
+@pytest.mark.parametrize("better, change, bound, mark", [
+    ("lower", [v * 1.30 for v in PARENT], 0.25, "REGRESSED"),  # +30% against 25%
+    ("lower", [v * 1.20 for v in PARENT], 0.25, ""),  # +20%: within the bound
+    ("higher", [v * 0.70 for v in PARENT], 0.25, "REGRESSED"),  # -30% where higher is better
+    ("higher", [v * 1.30 for v in PARENT], 0.25, ""),
+    # a spread wider than the bound: unresolved, whichever way the median moves ...
+    ("lower", [v * 1.01 for v in PARENT], 0.01, "UNRESOLVED"),
+    ("lower", [v * 0.99 for v in PARENT], 0.01, "UNRESOLVED"),
+    # ... unless every change run is better than every parent run
+    ("lower", [v - 0.6 for v in PARENT], 0.01, ""),
+    ("higher", [v + 0.6 for v in PARENT], 0.01, ""),
+], ids=["regressed", "within-bound", "higher-regressed", "higher-better", "wide-worse",
+        "wide-better", "wide-all-better", "higher-wide-all-better"])
+def test_summary_marks_end_to_end_metrics_by_their_bound(bench_pairs, better, change, bound,
+                                                         mark):
+    line, = bench_pairs.summary(_runs("m", PARENT, change), {"m": better}, {"m": bound})
+    assert ("REGRESSED" in line, "UNRESOLVED" in line) == (mark == "REGRESSED",
+                                                           mark == "UNRESOLVED")
+    assert bench_pairs.verdict(PARENT, change, better, bound) == mark
+
+
+def test_a_metric_without_a_bound_is_not_marked(bench_pairs):
+    line, = bench_pairs.summary(_runs("m", PARENT, [v * 2 for v in PARENT]), {}, {"n": 0.1})
+    assert "REGRESSED" not in line and "UNRESOLVED" not in line
+
+
+def test_snapshot_holds_the_working_tree_less_ignored_files(bench_pairs, tmp_path):
+    root, dest = tmp_path / "root", tmp_path / "dest"
+    (root / "pkg").mkdir(parents=True)
+    files = {".gitignore": "ignored.txt\nbuild/\n", "tracked.txt": "committed\n",
+             "pkg/mod.py": "x = 1\n", "gone.txt": "deleted later\n"}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + argv, cwd=root, check=True, capture_output=True)
+    (root / "tracked.txt").write_text("modified\n")
+    (root / "gone.txt").unlink()
+    (root / "pkg" / "new.py").write_text("y = 2\n")
+    (root / "ignored.txt").write_text("left out\n")
+    (root / "build").mkdir()
+    (root / "build" / "out.bin").write_bytes(b"left out")
+
+    bench_pairs.snapshot(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py", "tracked.txt"]
+    assert (dest / "tracked.txt").read_text() == "modified\n"
+    assert (dest / "pkg" / "new.py").read_text() == "y = 2\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import as_record, as_scipy
 from halattn.corpus import EncodedSet
-from halattn.cooc import CoocError, CoocPair, build_cooc, concat_pair, hal_weight
+from halattn.cooc import CoocError, CoocPair, build_cooc, concat_pair
 from halattn.linalg import CsrMatrix
 from synthetic import encoded_set
 
@@ -45,7 +45,7 @@ def merged_once_left(corpus, vocab_size, window):
         k, counts = np.unique(flat[valid] * vocab_size + flat[positions[valid] - d],
                               return_counts=True)
         keys.append(k)
-        weighted.append(counts.astype(np.float64) * hal_weight(d, window))
+        weighted.append(counts.astype(np.float64) * (1.0 / d))
     unique_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     totals = np.zeros(unique_keys.shape[0], dtype=np.float64)
     np.add.at(totals, inverse, np.concatenate(weighted))
@@ -91,25 +91,6 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-class TestHalWeight:
-    def test_adjacent(self):
-        assert hal_weight(1, 5) == 1.0
-
-    def test_window_boundary(self):
-        assert hal_weight(5, 5) == 0.2
-
-    def test_outside_window(self):
-        assert hal_weight(6, 5) == 0.0
-
-    def test_zero_distance(self):
-        assert hal_weight(0, 5) == 0.0
-
-    @given(st.integers(0, 50), st.integers(1, 20))
-    def test_matches_definition(self, d, window):
-        expected = 1.0 / d if 0 < d <= window else 0.0
-        assert hal_weight(d, window) == expected
 
 
 class TestBuildCooc:

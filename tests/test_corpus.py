@@ -11,7 +11,6 @@ from halattn.corpus import (
     RawDocument,
     Vocabulary,
     build_vocab,
-    encode,
     encode_corpus,
     load_labeled_dir,
     tokenize,
@@ -134,29 +133,29 @@ class TestEncode:
 
     def test_oov_dropped(self):
         doc = RawDocument("a zzz b", 0)
-        enc = encode(doc, self._vocab(), 4)
+        enc = encode_corpus([doc], self._vocab(), 4)[0][0]
         assert enc.ids[:2].tolist() == [0, 1]
         assert enc.mask.tolist() == [True, True, False, False]
         assert enc.real_length == 2
 
     def test_exact_fit(self):
-        enc = encode(RawDocument("a", 1), self._vocab(), 1)
+        enc = encode_corpus([RawDocument("a", 1)], self._vocab(), 1)[0][0]
         assert enc.ids.tolist() == [0]
         assert enc.mask.tolist() == [True]
         assert enc.real_length == 1
 
     def test_truncation_boundary(self):
         text = " ".join(["a", "b"] * 150)  # 300 in-vocabulary tokens
-        enc = encode(RawDocument(text, 0), self._vocab(), 200)
+        enc = encode_corpus([RawDocument(text, 0)], self._vocab(), 200)[0][0]
         assert enc.real_length == 200
         assert enc.ids.tolist() == [0, 1] * 100
 
     def test_no_invocab_tokens_fails(self):
         with pytest.raises(CorpusError):
-            encode(RawDocument("zzz yyy", 0), self._vocab(), 4)
+            encode_corpus([RawDocument("zzz yyy", 0)], self._vocab(), 4)
 
     def test_pad_id_is_zero_and_masked(self):
-        enc = encode(RawDocument("b", 0), self._vocab(), 3)
+        enc = encode_corpus([RawDocument("b", 0)], self._vocab(), 3)[0][0]
         assert enc.ids.tolist() == [1, 0, 0]
         assert not enc.mask[1] and not enc.mask[2]
 
@@ -167,7 +166,7 @@ class TestEncode:
         except CorpusError:
             return
         try:
-            enc = encode(doc, self._vocab(), seq_len)
+            enc = encode_corpus([doc], self._vocab(), seq_len)[0][0]
         except CorpusError:
             return
         assert 1 <= enc.real_length <= seq_len and enc.ids.max() < 2
@@ -179,7 +178,7 @@ class TestEncode:
         vocab = self._vocab()
         try:
             doc = RawDocument(text, 0)
-            enc = encode(doc, vocab, seq_len)
+            enc = encode_corpus([doc], vocab, seq_len)[0][0]
         except CorpusError:
             return
         decoded = [vocab.tokens[i] for i in enc.ids[: enc.real_length]]

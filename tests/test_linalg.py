@@ -73,7 +73,7 @@ class TestCgs2:
 
     def test_near_dependence_inside_a_later_panel(self, rng):
         # in the second panel, columns 10-13 each add 1e-10 noise to the one
-        # before: the residuals sit above drop_tol, and after normalization
+        # before: the residuals sit above _DROP_TOL, and after normalization
         # each must be orthogonal to the first panel and to the others
         x = rng.standard_normal((300, 16))
         for j in range(10, 14):

@@ -88,7 +88,7 @@ class TestVocabRoundTrip:
         """Vocabulary file bytes for any token lines, with a valid checksum."""
         body = "".join(tok + "\n" for tok in tokens).encode("utf-8")
         return (f"HALVOCAB 1 {len(tokens)}\n".encode() + body
-                + f"#crc64 {store._checksum(body):016x}\n".encode())
+                + f"#crc64 {store._checksum([body]):016x}\n".encode())
 
     def test_checksummed_bytes_are_the_written_file(self, vocab):
         assert self._checksummed(vocab.tokens) == store.vocab_to_bytes(vocab)
@@ -654,7 +654,7 @@ def _loads_or_store_error(pristine, kind, data: bytes):
 
 def _wrap(kind, payload: bytes) -> bytes:
     magic = BINARY[kind]
-    return magic + struct.pack("<QQ", store.VERSIONS[magic], store._checksum(payload)) + payload
+    return magic + struct.pack("<QQ", store.VERSIONS[magic], store._checksum([payload])) + payload
 
 
 def _record(name: bytes, code: int, shape, data: bytes = b"") -> bytes:
