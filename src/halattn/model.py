@@ -286,7 +286,7 @@ def loss_and_grad(
     temperature: float,
     dropout_p: float,
     pooled: np.ndarray | None = None,
-    out: ModelParams | None = None,
+    out: ModelParams,
 ) -> tuple[float, ModelParams, float]:
     """Training loss, gradients, and batch accuracy.
 
@@ -295,7 +295,7 @@ def loss_and_grad(
     pooling (biases and the LayerNorm affine are not decayed). Embeddings are
     fixed inputs and receive no gradient. Mean-pooled rows computed once by
     pool_batch may be passed in. The gradients are written into `out`, a
-    record of params' shapes, which is returned; None allocates one.
+    record of params' shapes, which is returned.
     """
     if pooled is None:
         rows, inv, mask, labels = _gather_batch(batch, embeddings)
@@ -304,8 +304,6 @@ def loss_and_grad(
         labels, g = batch.labels, None
     else:
         raise ModelError("only mean-pooled rows can be passed in")
-    if out is None:
-        out = params.map(np.empty_like)
     n = labels.shape[0]
     each = np.arange(n)
 

@@ -41,6 +41,11 @@ def as_scipy(record):
                          shape=(record.rows, record.cols))
 
 
+def grad_record(params):
+    """A fresh gradient record of params' shapes, for loss_and_grad's `out`."""
+    return params.map(np.empty_like)
+
+
 def one_block(matrix) -> list:
     """A scipy sparse matrix as truncated_svd's column blocks: one block, flagged as itself."""
     return [(as_record(matrix), False)]

@@ -70,7 +70,7 @@ def test_facts_read_a_set_as_its_list_of_rows(tracing):
     rows = [docs[i] for i in range(len(docs))]
     calls = {
         "model.loss_and_grad": (loss_and_grad, (None, None, "attention", 0.0, None),
-                                {"temperature": 2.0, "dropout_p": 0.0}, None),
+                                {"temperature": 2.0, "dropout_p": 0.0, "out": None}, None),
         "model.predict_logits": (predict_logits, (None, None, "mean"),
                                  {"temperature": 2.0}, None),
         "cooc.build_cooc": (build_cooc, (7, 2), {}, build_cooc(docs, 7, 2)),

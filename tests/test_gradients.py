@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import grad_record
 from halattn.linalg import EmbeddingTable
 from halattn.model import init_params, loss_and_grad
 from synthetic import encoded_set
@@ -55,7 +56,7 @@ def max_gradient_error(seed, pooling, weight_decay=0.003, noise_seed=77, vocab=V
         # the loss is a deterministic function of the parameters
         return loss_and_grad(
             batch, table, params, pooling, weight_decay, np.random.default_rng(noise_seed),
-            temperature=2.0, dropout_p=dropout_p,
+            temperature=2.0, dropout_p=dropout_p, out=grad_record(params),
         )
 
     _, grads, _ = loss_at()
@@ -103,7 +104,7 @@ def test_gradients_without_dropout():
 
     def loss_at():
         return loss_and_grad(batch, table, params, "attention", 1e-3, None,
-                             temperature=2.0, dropout_p=0.0)
+                             temperature=2.0, dropout_p=0.0, out=grad_record(params))
 
     _, grads, _ = loss_at()
     worst = 0.0

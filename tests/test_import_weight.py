@@ -1,7 +1,8 @@
 """What the benchmark process imports before it reads its peak RSS must not load the
 `scipy.sparse` package, whose imports outweigh the rest of the package: `linalg` loads
 scipy's compiled sparse kernels as one extension module, which a later `import
-scipy.sparse` shares. Each probe runs in a fresh interpreter, so no test's imports leak in."""
+scipy.sparse` shares. The input generator's `import halattn.corpus` loads no other module
+of the package. Each probe runs in a fresh interpreter, so no test's imports leak in."""
 
 import subprocess
 import sys
@@ -57,3 +58,14 @@ else:
 """)
     assert proc.returncode == 0, proc.stderr
 
+
+def test_corpus_loads_no_other_package_module():
+    # perfbench/gen.py imports halattn.corpus alone; the package itself re-exports
+    # nothing, so that import loads neither the other modules nor scipy's kernels
+    proc = probe("""
+import halattn.corpus
+loaded = sorted(m for m in sys.modules if m == "halattn" or m.startswith("halattn."))
+assert loaded == ["halattn", "halattn.corpus"], loaded
+assert "scipy.sparse._sparsetools" not in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grad_record
 from halattn.linalg import EmbeddingTable
 from halattn.model import (
     AdamState,
@@ -328,9 +329,10 @@ class TestClassifierForward:
 
     def test_train_mode_needs_noise(self, rng):
         batch, table = one_token_batch(rng.standard_normal(4))
+        params = params_with()
         with pytest.raises(ModelError, match="noise generator"):
-            loss_and_grad(batch, table, params_with(), "mean", 0.0, None,
-                          temperature=2.0, dropout_p=0.5)
+            loss_and_grad(batch, table, params, "mean", 0.0, None,
+                          temperature=2.0, dropout_p=0.5, out=grad_record(params))
 
     def test_dropout_expectation_matches_eval(self, rng):
         h, k = 5, 3
@@ -370,18 +372,20 @@ class TestLossAndGrad:
         return encoded_set(id_lists, labels, seq_len)
 
     def test_uniform_logits_loss_is_ln2(self, rng):
-        batch = self._batch(rng)
+        batch, params = self._batch(rng), params_with()
         loss, _, acc = loss_and_grad(
-            batch, self._table(rng), params_with(), "attention", 0.0, None, **NO_DROPOUT
+            batch, self._table(rng), params, "attention", 0.0, None, **NO_DROPOUT,
+            out=grad_record(params),
         )
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
         labels = np.array([d.label for d in batch])
         assert acc == pytest.approx((labels == 0).mean())  # argmax ties pick class 0
 
     def test_zero_weights_kill_attention_gradient(self, rng):
-        batch = self._batch(rng)
+        batch, params = self._batch(rng), params_with()
         _, grads, _ = loss_and_grad(
-            batch, self._table(rng), params_with(), "attention", 0.0, None, **NO_DROPOUT
+            batch, self._table(rng), params, "attention", 0.0, None, **NO_DROPOUT,
+            out=grad_record(params),
         )
         assert np.all(grads.v_a == 0.0)
         assert np.all(grads.w_a == 0.0)
@@ -391,9 +395,11 @@ class TestLossAndGrad:
         params = init_params(seeded(1))
         batch = self._batch(rng)
         table = self._table(rng)
-        base, _, _ = loss_and_grad(batch, table, params, "attention", 0.0, None, **NO_DROPOUT)
+        base, _, _ = loss_and_grad(batch, table, params, "attention", 0.0, None, **NO_DROPOUT,
+                                   out=grad_record(params))
         lam = 0.01
-        decayed, _, _ = loss_and_grad(batch, table, params, "attention", lam, None, **NO_DROPOUT)
+        decayed, _, _ = loss_and_grad(batch, table, params, "attention", lam, None, **NO_DROPOUT,
+                                      out=grad_record(params))
         expected = lam * sum(
             float((w * w).sum()) for w in (params.w_a, params.v_a, params.w_c, params.w_o)
         )
@@ -404,9 +410,11 @@ class TestLossAndGrad:
         batch = self._batch(rng)
         table = self._table(rng)
         lam = 0.01
-        loss, grads, _ = loss_and_grad(batch, table, params, "mean", lam, None, **NO_DROPOUT)
+        loss, grads, _ = loss_and_grad(batch, table, params, "mean", lam, None, **NO_DROPOUT,
+                                       out=grad_record(params))
         expected = lam * sum(float((w * w).sum()) for w in (params.w_c, params.w_o))
-        base, _, _ = loss_and_grad(batch, table, params, "mean", 0.0, None, **NO_DROPOUT)
+        base, _, _ = loss_and_grad(batch, table, params, "mean", 0.0, None, **NO_DROPOUT,
+                                   out=grad_record(params))
         assert loss - base == pytest.approx(expected, rel=1e-12)
         assert np.all(grads.w_a == 0.0) and np.all(grads.v_a == 0.0)
 
@@ -421,7 +429,7 @@ class TestLossAndGrad:
         hyper = dict(temperature=2.0, dropout_p=0.6)
         for pooling in ("attention", "mean"):
             fresh = loss_and_grad(batch, table, params, pooling, 1e-3,
-                                  np.random.default_rng(8), **hyper)
+                                  np.random.default_rng(8), **hyper, out=grad_record(params))
             into = loss_and_grad(batch, table, params, pooling, 1e-3,
                                  np.random.default_rng(8), **hyper, out=record)
             assert into[1] is record
@@ -434,7 +442,8 @@ class TestLossAndGrad:
         params = params_with(b_o=np.array([np.inf, 0.0]))
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
             loss_and_grad(
-                self._batch(rng), self._table(rng), params, "mean", 0.0, None, **NO_DROPOUT
+                self._batch(rng), self._table(rng), params, "mean", 0.0, None, **NO_DROPOUT,
+                out=grad_record(params),
             )
 
     def test_embeddings_receive_no_gradient(self, rng):
@@ -445,7 +454,7 @@ class TestLossAndGrad:
         state = AdamState.for_params(params)
         _, grads, _ = loss_and_grad(
             self._batch(rng), table, params, "attention", 1e-4, np.random.default_rng(1),
-            **NO_DROPOUT,
+            **NO_DROPOUT, out=grad_record(params),
         )
         adam_step(params, grads, state, 1e-3)
         assert np.array_equal(table.vectors, before)
@@ -467,7 +476,7 @@ class TestLossAndGrad:
         hyper = dict(temperature=2.0, dropout_p=0.5)
         runs = {
             pooling: loss_and_grad(batch, table, params, pooling, weight_decay,
-                                   np.random.default_rng(8), **hyper)
+                                   np.random.default_rng(8), **hyper, out=grad_record(params))
             for pooling in ("attention", "mean")
         }
         (attn_loss, attn_grads, attn_acc), (mean_loss, mean_grads, mean_acc) = runs.values()
@@ -561,7 +570,7 @@ class TestDistinctTokenScoring:
         batch, table, params = self._setup(rng)
         loss, grads, _ = loss_and_grad(
             batch, table, params, pooling, 1e-3, np.random.default_rng(5),
-            temperature=2.0, dropout_p=0.5,
+            temperature=2.0, dropout_p=0.5, out=grad_record(params),
         )
         ref_loss, ref_grads = reference_loss_and_grad(
             batch, table, params, pooling, 1e-3, np.random.default_rng(5), 2.0, 0.5
@@ -589,7 +598,7 @@ class TestDistinctTokenScoring:
         for row in (np.zeros(4), np.full(4, np.nan)):
             table.vectors[0] = row
             loss, grads, _ = loss_and_grad(batch, table, params, pooling, 1e-3, None,
-                                           **NO_DROPOUT)
+                                           **NO_DROPOUT, out=grad_record(params))
             logits = predict_logits(batch, table, params, pooling, temperature=2.0)
             runs.append((loss, grads, logits))
         (loss_a, grads_a, logits_a), (loss_b, grads_b, logits_b) = runs
@@ -722,7 +731,7 @@ class TestPoolOnce:
                                   whole[part])
             runs = [loss_and_grad(docs[part], table, params, "mean", 1e-3,
                                   np.random.default_rng(4), temperature=2.0, dropout_p=0.5,
-                                  pooled=pooled)
+                                  pooled=pooled, out=grad_record(params))
                     for pooled in (None, whole[part])]
             (loss_a, grads_a, acc_a), (loss_b, grads_b, acc_b) = runs
             assert loss_a == loss_b and acc_a == acc_b
@@ -739,7 +748,7 @@ class TestPoolOnce:
         pooled = pool_batch(docs, table, params, "attention", temperature=2.0)
         with pytest.raises(ModelError, match="mean-pooled"):
             loss_and_grad(docs, table, params, "attention", 0.0, None, temperature=2.0,
-                          dropout_p=0.0, pooled=pooled)
+                          dropout_p=0.0, pooled=pooled, out=grad_record(params))
 
 
 def per_tensor_init(config, seed):
